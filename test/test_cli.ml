@@ -405,6 +405,62 @@ let test_learn_stream_metrics_equal_batch () =
   Alcotest.(check bool) "engine section present" true
     (contains ~needle:"\"engine.periods\"" (read_file ms))
 
+(* The recover-mode ingestion account, pinned. The CI fault-injection
+   fixture (27 GM periods, seed 2007, 10% corruption with seed 7, eps
+   60) goes through every recover-mode ingest path — batch learn,
+   learn --stream and a daemon stream — and each must report the same
+   account: the summary line and ingest.* counters from the CLI, the
+   full report (fixtures/recover_account.txt) from the daemon. *)
+let test_recover_account_pinned () =
+  let clean = tmp "gm27.trace" and damaged = tmp "gm27_corrupted.trace" in
+  ignore
+    (run
+       (Printf.sprintf "simulate --case-study --periods 27 --seed 2007 -o %s"
+          clean));
+  ignore
+    (run (Printf.sprintf "inject %s --rate 0.1 --seed 7 -o %s" clean damaged));
+  let expected = read_file "fixtures/recover_account.txt" in
+  let summary = List.hd (String.split_on_char '\n' expected) in
+  let ingest_counters =
+    [ "\"ingest.frames_excised\": 73,"; "\"ingest.lines_skipped\": 0,";
+      "\"ingest.periods_dropped\": 0,"; "\"ingest.periods_kept\": 0,";
+      "\"ingest.periods_repaired\": 27," ]
+  in
+  List.iter
+    (fun flags ->
+       let m = tmp "gm27_metrics.json" in
+       ignore
+         (run
+            (Printf.sprintf "learn %s %s --mode recover --eps 60 --metrics %s"
+               flags damaged m));
+       Alcotest.(check bool) ("summary: learn " ^ flags) true
+         (contains ~needle:(summary ^ "\n") (read_file (tmp "stderr")));
+       Alcotest.(check (list string)) ("ingest counters: learn " ^ flags)
+         ingest_counters
+         (String.split_on_char '\n' (counters_section m)
+          |> List.map String.trim
+          |> List.filter (fun l -> contains ~needle:"\"ingest." l)))
+    [ ""; "--stream" ];
+  let module S = Rt_daemon.Stream in
+  let s, _ =
+    S.create ~id:"gm27"
+      { S.bound = 1; window = None; eps = Some 60; queue_capacity = 100_000;
+        checkpoint = None; checkpoint_every = 1_000 }
+  in
+  List.iter
+    (fun l -> ignore (S.offer_line s l))
+    (String.split_on_char '\n' (read_file damaged));
+  S.close_input s;
+  let rec drain () =
+    match S.pump s ~budget:64 with
+    | _, S.Done -> ()
+    | _, S.Crashed m -> Alcotest.failf "daemon stream crashed: %s" m
+    | _, (S.More | S.Blocked) -> drain ()
+  in
+  drain ();
+  Alcotest.(check string) "daemon stream account" expected
+    (Rt_trace.Quarantine.to_string (S.quarantine s))
+
 let test_learn_stream_conflicts () =
   ignore
     (run ~expect_fail:true
@@ -1151,6 +1207,8 @@ let () =
           Alcotest.test_case "stream metrics = batch" `Quick
             test_learn_stream_metrics_equal_batch;
           Alcotest.test_case "flag conflicts" `Quick test_learn_stream_conflicts;
+          Alcotest.test_case "recover account pinned" `Quick
+            test_recover_account_pinned;
         ] );
       ( "sharded",
         [
