@@ -20,31 +20,13 @@ let err msg =
   Ec.input_error
 
 (* Load a trace; in recover mode the quarantine summary goes to stderr so
-   stdout stays pipeable model output. Strict loads go through the
-   zero-copy mmap reader (byte-for-byte parity with the boxed loader,
-   enforced by test_arena); timestamps beyond the 41-bit packed range —
-   or any OS-level mmap refusal — fall back to the boxed path, whose
-   error phrasing is the contract. *)
+   stdout stays pipeable model output. *)
 let read_trace ?(mode = `Strict) ?eps ?window ?obs ?(quiet = false) path =
-  let boxed () = Rt_trace.Trace_io.load ~mode ?eps ?obs path in
-  let load () =
-    match mode with
-    | `Recover -> boxed ()
-    | `Strict ->
-      (match Rt_trace.Mmap_io.load ?obs path with
-       | Ok (mm, q) -> Ok (mm.Rt_trace.Mmap_io.trace, q)
-       | Error e when Rt_trace.Mmap_io.is_range_error e -> boxed ()
-       | Error _ as e -> e
-       | exception Unix.Unix_error _ -> boxed ())
-  in
-  match load () with
-  | Ok (t, q) ->
-    let t, q =
-      if mode = `Recover then Rt_trace.Trace_io.semantic_filter ?window ?obs t q
-      else (t, q) in
+  match Rt_trace.Trace_io.load ~mode ?eps ?window ?obs path with
+  | Ok (_, q) as ok ->
     if mode = `Recover && not quiet then
       prerr_endline (Rt_trace.Quarantine.summary q);
-    Ok (t, q)
+    ok
   | Error e ->
     Error (Printf.sprintf "%s: line %d: %s" path e.line e.message)
   | exception Sys_error m -> Error m
@@ -616,11 +598,11 @@ let blowup_msg set_size limit =
      (--bound) or a candidate --window"
     set_size limit
 
-(* `learn --stream`: parse, salvage and learn one period at a time — the
-   trace is never materialized, so a multi-hour capture (or stdin from a
-   live logger) costs one period of memory. Produces the same model and
-   the same quarantine account as the batch path, because both sit on
-   Stream_io / salvage_period / Engine. *)
+(* `learn --stream`: parse and learn one period at a time — the trace is
+   never materialized, so a multi-hour capture (or stdin from a live
+   logger) costs one period of memory. Produces the same model and the
+   same quarantine account as the batch path, because both sit on
+   Stream_io / Engine. *)
 let learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps ~progress
     ~dot ~output ~store ~store_ref ~metrics ~trace_events ~profile ~folded
     path =
@@ -636,7 +618,7 @@ let learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps ~progress
       (fun () ->
          with_pool jobs (fun pool ->
              let parser =
-               Rt_trace.Stream_io.create ~mode ~eps
+               Rt_trace.Stream_io.create ~mode ~eps ?window
                  (Rt_trace.Stream_io.lines_of_channel ic)
              in
              let alg =
@@ -688,7 +670,6 @@ let learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps ~progress
                | `Single (e, _) -> List.length (Eng.current e)
                | `Sharded s -> SStream.hypotheses s
              in
-             let excised = ref [] and sem_dropped = ref [] in
              let rec pump () =
                match Rt_trace.Stream_io.next parser with
                | Error e ->
@@ -698,24 +679,12 @@ let learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps ~progress
                  let c =
                    core_of (Option.get (Rt_trace.Stream_io.task_set parser))
                  in
-                 let fed =
-                   if mode = `Recover then
-                     match Rt_trace.Trace_io.salvage_period ?window p with
-                     | `Clean -> feed_core c p; true
-                     | `Excised (p', n) ->
-                       excised := (p'.Rt_trace.Period.index, n) :: !excised;
-                       feed_core c p'; true
-                     | `Dropped ->
-                       sem_dropped := p.Rt_trace.Period.index :: !sem_dropped;
-                       false
-                   else (feed_core c p; true)
-                 in
-                 (if fed then
-                    match progress with
-                    | Some n when periods_fed_core c mod n = 0 ->
-                      Printf.eprintf "progress: %d periods, %d hypotheses\n%!"
-                        (periods_fed_core c) (hypotheses_core c)
-                    | Some _ | None -> ());
+                 feed_core c p;
+                 (match progress with
+                  | Some n when periods_fed_core c mod n = 0 ->
+                    Printf.eprintf "progress: %d periods, %d hypotheses\n%!"
+                      (periods_fed_core c) (hypotheses_core c)
+                  | Some _ | None -> ());
                  pump ()
              in
              let outcome =
@@ -727,22 +696,8 @@ let learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps ~progress
              match outcome with
              | Error m -> err (m)
              | Ok () ->
-               let excised = List.rev !excised
-               and dropped_idx = List.rev !sem_dropped in
-               let q =
-                 let q0 = Rt_trace.Stream_io.quarantine parser in
-                 if mode = `Recover then
-                   Rt_trace.Trace_io.salvage_account q0 ~excised ~dropped_idx
-                 else q0
-               in
-               (match obs with
-                | Some r ->
-                  if mode = `Recover then
-                    Rt_trace.Trace_io.publish_salvage r q
-                      ~frames_excised:
-                        (List.fold_left (fun a (_, n) -> a + n) 0 excised)
-                  else Rt_trace.Trace_io.publish_quarantine_to r q
-                | None -> ());
+               let q = Rt_trace.Stream_io.quarantine parser in
+               Option.iter (fun r -> Rt_trace.Stream_io.publish r parser) obs;
                if mode = `Recover then
                  prerr_endline (Rt_trace.Quarantine.summary q);
                match !core with
@@ -1063,7 +1018,7 @@ let watch path bound window mode eps poll follow max_periods flight_out =
     | _ -> ()
   in
   let run src =
-         let parser = Rt_trace.Stream_io.create ~mode ~eps src in
+         let parser = Rt_trace.Stream_io.create ~mode ~eps ?window src in
          let eng = ref None in
          let prev_lub = ref None in
          let was_converged = ref false in
@@ -1089,56 +1044,39 @@ let watch path bound window mode eps poll follow max_periods flight_out =
                  in
                  eng := Some e; e
              in
-             let fed =
-               if mode = `Recover then
-                 match Rt_trace.Trace_io.salvage_period ?window p with
-                 | `Clean -> Eng.feed e p; true
-                 | `Excised (p', _) -> Eng.feed e p'; true
-                 | `Dropped ->
-                   Printf.eprintf
-                     "period %d dropped: message with no admissible \
-                      sender/receiver\n%!"
-                     p.Rt_trace.Period.index;
-                   false
-               else (Eng.feed e p; true)
+             Eng.feed e p;
+             let snap = Eng.snapshot e in
+             let changed =
+               match !prev_lub, snap.Eng.lub with
+               | None, None -> false
+               | Some a, Some b -> not (Df.equal a b)
+               | Some _, None | None, Some _ -> true
              in
-             if fed then begin
-               let snap = Eng.snapshot e in
-               let changed =
-                 match !prev_lub, snap.Eng.lub with
-                 | None, None -> false
-                 | Some a, Some b -> not (Df.equal a b)
-                 | Some _, None | None, Some _ -> true
-               in
-               if changed then begin
-                 if !was_converged then begin
-                   record Rt_obs.Flight.Warn "watch.drift"
-                     (Printf.sprintf
-                        "previously converged model invalidated at period %d"
-                        snap.Eng.periods);
-                   Format.printf
-                     "drift: previously converged model invalidated at \
-                      period %d@."
-                     snap.Eng.periods
-                 end;
-                 Format.printf "period %d: %d hypothesis(es)%s@."
+             if changed then begin
+               if !was_converged then begin
+                 record Rt_obs.Flight.Warn "watch.drift"
+                   (Printf.sprintf
+                      "previously converged model invalidated at period %d"
+                      snap.Eng.periods);
+                 Format.printf
+                   "drift: previously converged model invalidated at \
+                    period %d@."
                    snap.Eng.periods
-                   (List.length snap.Eng.hypotheses)
-                   (if snap.Eng.converged then ", converged" else "");
-                 (match snap.Eng.lub with
-                  | Some lub -> Format.printf "%s@." (Df.to_string ~names lub)
-                  | None ->
-                    Format.printf "inconsistent trace: empty answer set@.")
                end;
-               prev_lub := snap.Eng.lub;
-               was_converged := snap.Eng.converged;
-               Format.print_flush ()
+               Format.printf "period %d: %d hypothesis(es)%s@."
+                 snap.Eng.periods
+                 (List.length snap.Eng.hypotheses)
+                 (if snap.Eng.converged then ", converged" else "");
+               (match snap.Eng.lub with
+                | Some lub -> Format.printf "%s@." (Df.to_string ~names lub)
+                | None ->
+                  Format.printf "inconsistent trace: empty answer set@.")
              end;
+             prev_lub := snap.Eng.lub;
+             was_converged := snap.Eng.converged;
+             Format.print_flush ();
              (match max_periods with
-              | Some k
-                when (match !eng with
-                      | Some e -> Eng.periods_fed e >= k
-                      | None -> false) ->
+              | Some k when Eng.periods_fed e >= k ->
                 stop := true;
                 finished := true
               | Some _ | None -> ())

@@ -65,9 +65,9 @@ let rules =
                  is a compile error" };
     { id = "RTL006"; name = "no-hot-loop-alloc";
       summary = "record or tuple construction inside a while/for body \
-                 of the packed ingest path (mmap_io, event_arena); \
-                 per-event allocation defeats the zero-allocation \
-                 contract — keep state in the arena or scalar refs" };
+                 of the ingest path (stream_io, mmap_io); a per-line \
+                 allocation churns the minor heap in proportion to the \
+                 trace — keep loop state in scalar refs" };
     { id = "RTL101"; name = "pool-race-write";
       summary = "top-level mutable state is written (directly or through \
                  calls) by a closure submitted to Domain_pool or \

@@ -255,8 +255,7 @@ let ckpt_version = 3
    payload length, and the payload's MD5 — 32 bytes total. A torn write
    or a flipped bit is detected before any field is trusted, instead of
    surfacing as a confusing parse error (or worse, loading silently
-   wrong matrices). Checkpoints written before the trailer existed
-   carry no magic and still load through the legacy path. *)
+   wrong matrices). A checkpoint without it is refused. *)
 let trailer_magic = "RTCKSUM1"
 let trailer_len = 8 + 8 + 16
 
@@ -308,14 +307,14 @@ let checkpoint ?(tag = "") st =
   Buffer.add_string buf (Digest.string payload);
   Buffer.contents buf
 
-(* Strip and verify the integrity trailer, when present. [Ok] carries
-   the bare payload; a checkpoint without the magic is assumed legacy
-   and passed through untouched. *)
+(* Strip and verify the integrity trailer. [Ok] carries the bare
+   payload. *)
 let verify_trailer data =
   let len = String.length data in
-  if len >= trailer_len
-     && String.sub data (len - trailer_len) 8 = trailer_magic
-  then begin
+  if len < trailer_len
+     || String.sub data (len - trailer_len) 8 <> trailer_magic
+  then Error "checkpoint has no integrity trailer — file is truncated or corrupt"
+  else begin
     let plen =
       Int64.to_int (String.get_int64_le data (len - trailer_len + 8))
     in
@@ -328,7 +327,6 @@ let verify_trailer data =
       then Error "checkpoint checksum mismatch — file is corrupt"
       else Ok payload
   end
-  else Ok data
 
 let resume_payload ?pool ?obs data =
   let exception Bad of string in
@@ -372,8 +370,9 @@ let resume_payload ?pool ?obs data =
     let ntasks = i64 () in
     if ntasks < 1 then raise (Bad "need at least one task");
     if ntasks > 65536 then
-      (* A flipped bit in a legacy (trailer-less) checkpoint must not
-         drive the matrix allocations below into Out_of_memory. *)
+      (* The checksum vouches for the bytes, not for the writer: a
+         payload that hashes correctly can still carry a count that
+         would drive the matrix allocations below into Out_of_memory. *)
       raise (Bad (Printf.sprintf "implausible task count %d" ntasks));
     let periods = i64 () in
     let merges = i64 () in
@@ -468,6 +467,6 @@ let resume ?pool ?obs data =
     (match resume_payload ?pool ?obs payload with
      | r -> r
      | exception e ->
-       (* A corrupt legacy blob (no trailer to catch it) must degrade
+       (* Whatever slips past the checks above must still degrade
           into a clean [Error], never an exception. *)
        Error ("unreadable checkpoint: " ^ Printexc.to_string e))

@@ -27,8 +27,6 @@ type t = {
   parser : Sio.t;
   mutable engine : Eng.t option;
   mutable skip : int;  (* replay-skip budget from a resumed checkpoint *)
-  mutable excised : (int * int) list;     (* reversed, as learn_stream *)
-  mutable sem_dropped : int list;
   mutable checkpoints : int;
   mutable finished : bool;
   mutable crashed : string option;
@@ -44,7 +42,9 @@ let create ~id ?pool ?flight cfg =
     | Some l -> Some l
     | None -> if !eof then None else raise Starve
   in
-  let parser = Sio.create ~mode:`Recover ?eps:cfg.eps source in
+  let parser =
+    Sio.create ~mode:`Recover ?eps:cfg.eps ?window:cfg.window source
+  in
   let engine, skip, note =
     match cfg.checkpoint with
     | Some slot when Rt_store.Slot.exists slot ->
@@ -86,8 +86,6 @@ let create ~id ?pool ?flight cfg =
       parser;
       engine;
       skip;
-      excised = [];
-      sem_dropped = [];
       checkpoints = 0;
       finished = false;
       crashed = None;
@@ -150,28 +148,19 @@ let write_checkpoint t =
 
 type status = Blocked | More | Done | Crashed of string
 
-(* Handle one parsed period: salvage exactly as [learn --stream --mode
-   recover], then either replay-skip it (it was fed before the last
-   checkpoint — salvage verdicts are deterministic, so the skip count
-   lines up) or feed it and maybe checkpoint. *)
+(* Handle one parsed period: either replay-skip it (it was fed before
+   the last checkpoint — recover-mode verdicts are deterministic, so the
+   skip count lines up) or feed it and maybe checkpoint. *)
 let consume_period t p =
-  let feed p' =
-    if t.skip > 0 then t.skip <- t.skip - 1
-    else begin
-      let eng = engine_of t in
-      Eng.feed eng p';
-      if
-        t.cfg.checkpoint <> None
-        && Eng.periods_fed eng mod t.cfg.checkpoint_every = 0
-      then write_checkpoint t
-    end
-  in
-  match Rt_trace.Trace_io.salvage_period ?window:t.cfg.window p with
-  | `Clean -> feed p
-  | `Excised (p', n) ->
-    t.excised <- (p'.Rt_trace.Period.index, n) :: t.excised;
-    feed p'
-  | `Dropped -> t.sem_dropped <- p.Rt_trace.Period.index :: t.sem_dropped
+  if t.skip > 0 then t.skip <- t.skip - 1
+  else begin
+    let eng = engine_of t in
+    Eng.feed eng p;
+    if
+      t.cfg.checkpoint <> None
+      && Eng.periods_fed eng mod t.cfg.checkpoint_every = 0
+    then write_checkpoint t
+  end
 
 let pump t ~budget =
   match t.crashed with
@@ -210,10 +199,7 @@ let pump t ~budget =
       (!handled, !status)
     end
 
-let quarantine t =
-  let q0 = Sio.quarantine t.parser in
-  Rt_trace.Trace_io.salvage_account q0 ~excised:(List.rev t.excised)
-    ~dropped_idx:(List.rev t.sem_dropped)
+let quarantine t = Sio.quarantine t.parser
 
 let names t = Option.map Rt_task.Task_set.names (Sio.task_set t.parser)
 

@@ -14,13 +14,14 @@
 
     Recovery works by {e replay-skip}: a checkpoint stores how many
     periods the engine had eaten; on restart the spool file is re-read
-    from byte 0 and the first [periods_fed] feed-eligible periods (the
-    salvage verdicts are deterministic, so eligibility is too) are
-    skipped without feeding. The engine then continues bit-exactly. *)
+    from byte 0 and the first [periods_fed] periods the parser yields
+    (its recover-mode verdicts are deterministic, so the same periods
+    come back) are skipped without feeding. The engine then continues
+    bit-exactly. *)
 
 type config = {
   bound : int;              (** heuristic bound, as [learn --bound] *)
-  window : int option;      (** salvage window, must match the learner's *)
+  window : int option;      (** candidate window, for salvage and the learner *)
   eps : int option;         (** clock-skew tolerance for repair *)
   queue_capacity : int;     (** bounded ingest queue (lines) *)
   checkpoint : Rt_store.Slot.t option;
@@ -85,7 +86,7 @@ val rejected : t -> int
 (** Lines refused by the bounded queue so far. *)
 
 val quarantine : t -> Rt_trace.Quarantine.t
-(** Full ingestion account: parser skips/repairs plus salvage verdicts,
+(** Full ingestion account ({!Rt_trace.Stream_io.quarantine}),
     identical to what [learn --mode recover] would report. *)
 
 val snapshot : t -> (Rt_engine.Engine.snapshot * string array option, string) result

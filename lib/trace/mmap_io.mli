@@ -1,48 +1,11 @@
-(** Zero-copy strict trace reader.
+(** Strict trace load from a file path: {!Trace_io.load} in [`Strict]
+    mode. It does no [mmap]; {!Stream_io} is the only parser of the
+    trace text. The module and its record stay only because the
+    benchmark probe ([perfbench/probe.ml]), which may change only with
+    the benchmark itself, calls them. *)
 
-    {!Trace_io.load} reads the whole file into a string, splits it into
-    line strings, splits those into token strings, and conses a boxed
-    {!Event.t} per event — four transient heap objects per input line
-    before the learner sees anything. This reader instead [mmap]s the
-    file and scans the mapped bytes in place: keywords are compared
-    against the buffer directly, timestamps and identifiers are parsed
-    off the raw bytes, and events are appended to a packed
-    {!Event_arena.t} without ever constructing an [Event.t]. Substrings
-    are allocated only for task names (once per file) and error
-    messages.
-
-    Parsing semantics are {e exactly} those of a strict-mode
-    {!Stream_io} over {!Stream_io.lines_of_string} — same accepted
-    inputs, same error messages, same line numbers — which is enforced
-    by parity tests; the CLI uses this reader for strict batch loads
-    and falls back to {!Trace_io.load} only on {!is_range_error}. The
-    one divergence: events whose timestamp or identifier exceed the
-    packed encoding's range ({!Event_arena.max_time} /
-    {!Event_arena.max_id}) are refused with a range error rather than
-    stored boxed. Recover mode is out of scope — repair works on boxed
-    periods anyway. *)
-
-type t = private {
-  trace : Trace.t;          (** the validated trace, as {!Trace_io.load} *)
-  arena : Event_arena.t;    (** every event of [trace], packed, in file order *)
-  marks : (int * int * int) array;
-      (** one [(period_index, lo, hi)] per kept period: the arena range
-          [\[lo, hi)] holding its events — the handle shard workers use
-          to re-read slices without re-parsing. *)
-}
+type t = { trace : Trace.t }
 
 val load :
   ?obs:Rt_obs.Registry.t -> string ->
   (t * Quarantine.t, Stream_io.parse_error) result
-(** Strict load from a file path. The quarantine report is the strict
-    one ([kept] count only). With [obs], runs inside an
-    ["ingest.parse"] span and publishes the same ["ingest.*"] counters
-    as {!Trace_io.load}, so metrics sidecars are path-independent. *)
-
-val is_range_error : Stream_io.parse_error -> bool
-(** [true] for the packed-range refusal described above — the caller's
-    cue to retry with the boxed loader. *)
-
-val source : ?lo:int -> ?hi:int -> t -> Event_source.t
-(** Pull events back out of the arena (range in {e event} indices, as
-    recorded in [marks]); decodes on demand. *)

@@ -177,22 +177,27 @@ type mode = [ `Strict | `Recover ]
 type t = {
   mode : mode;
   eps : int option;
+  window : int option;
   source : line_source;
   mutable lineno : int;
   mutable task_set : Rt_task.Task_set.t option;
   mutable cur_index : int option;
   mutable cur_events : Event.t list;  (* reverse line order *)
   mutable state : [ `Running | `Done | `Failed of parse_error ];
-  (* Quarantine accumulators, reverse order. *)
+  (* Quarantine accumulators, reverse order. Salvage outcomes are kept
+     apart from the repair ones: the account lists them last. *)
   mutable kept : int;
   mutable skipped : Quarantine.line_issue list;
   mutable repaired : Quarantine.period_repair list;
   mutable dropped : Quarantine.period_drop list;
+  mutable excised : Quarantine.period_repair list;
+  mutable unexplained : Quarantine.period_drop list;
+  mutable frames_excised : int;
 }
 
-let create ?(mode = `Strict) ?eps source =
+let create ?(mode = `Strict) ?eps ?window source =
   {
-    mode; eps; source;
+    mode; eps; window; source;
     lineno = 0;
     task_set = None;
     cur_index = None;
@@ -202,6 +207,9 @@ let create ?(mode = `Strict) ?eps source =
     skipped = [];
     repaired = [];
     dropped = [];
+    excised = [];
+    unexplained = [];
+    frames_excised = 0;
   }
 
 let task_set t = t.task_set
@@ -211,8 +219,73 @@ let lines_read t = t.lineno
 let quarantine t =
   { Quarantine.skipped_lines = List.rev t.skipped;
     kept = t.kept;
-    repaired = List.rev t.repaired;
-    dropped = List.rev t.dropped }
+    repaired = List.rev_append t.repaired (List.rev t.excised);
+    dropped = List.rev_append t.dropped (List.rev t.unexplained) }
+
+(* Counters are set, not added: each call re-states the whole account. *)
+let publish r t =
+  let q = quarantine t in
+  let set = Rt_obs.Registry.set_counter r in
+  if t.mode = `Recover then set "ingest.frames_excised" t.frames_excised;
+  set "ingest.lines_skipped" (List.length q.skipped_lines);
+  set "ingest.periods_kept" q.kept;
+  set "ingest.periods_repaired" (List.length q.repaired);
+  set "ingest.periods_dropped" (List.length q.dropped)
+
+(* A structurally valid period can still be semantically hopeless: a
+   message with an empty candidate set A_m collapses the learner's
+   hypothesis set to the empty set (paper §3.1). Excising just that
+   message's edges cannot invalidate the others — candidate sets depend
+   only on task times — so we cut the bad frames and re-validate, and
+   drop the period only if that fails. *)
+let salvage_period ?window (p : Period.t) =
+  let bad_msgs =
+    Array.to_list p.msgs
+    |> List.filter (fun m -> Candidates.pairs ?window p m = [])
+  in
+  if bad_msgs = [] then `Clean
+  else begin
+    (* Within a valid period, edges of a given bus id never overlap, so
+       (id, time) identifies each bad edge uniquely. *)
+    let is_bad (e : Event.t) =
+      match e.kind with
+      | Event.Msg_rise id ->
+        List.exists (fun (m : Period.msg) -> m.bus_id = id && m.rise = e.time)
+          bad_msgs
+      | Event.Msg_fall id ->
+        List.exists (fun (m : Period.msg) -> m.bus_id = id && m.fall = e.time)
+          bad_msgs
+      | Event.Task_start _ | Event.Task_end _ -> false
+    in
+    let events = List.filter (fun e -> not (is_bad e)) p.events in
+    match Period.make ~index:p.index ~task_set:p.task_set events with
+    | Ok p' when Candidates.unexplained ?window p' = [] ->
+      `Excised (p', List.length bad_msgs)
+    | Ok _ | Error _ -> `Dropped
+  end
+
+(* Recover mode's last word on a repaired period: salvage it, and book
+   it as kept, repaired, excised or dropped. *)
+let salvage t index fixes p =
+  match salvage_period ?window:t.window p with
+  | `Clean ->
+    if fixes = [] then t.kept <- t.kept + 1
+    else
+      t.repaired <- { Quarantine.period_index = index; fixes } :: t.repaired;
+    Some p
+  | `Excised (p', n) ->
+    t.frames_excised <- t.frames_excised + n;
+    t.excised <-
+      { Quarantine.period_index = index;
+        fixes = fixes @ [ Printf.sprintf "excised %d inexplicable frame(s)" n ] }
+      :: t.excised;
+    Some p'
+  | `Dropped ->
+    t.unexplained <-
+      { Quarantine.period_index = index;
+        reason = "message with no admissible sender/receiver" }
+      :: t.unexplained;
+    None
 
 exception Fail of parse_error
 
@@ -227,8 +300,8 @@ let skip_line t lineno message =
   else t.skipped <- { Quarantine.line = lineno; message } :: t.skipped
 
 (* Close the period under construction, if any. Returns it when it
-   survives validation/repair; [None] when there was nothing to close or
-   the period was quarantined. *)
+   survives validation, or repair and salvage; [None] when there was
+   nothing to close or the period was quarantined. *)
 let flush_period t lineno : Period.t option =
   match t.cur_index with
   | None -> None
@@ -257,15 +330,8 @@ let flush_period t lineno : Period.t option =
                  (Period.string_of_error e)))
        else
          (match Repair.period ?eps:t.eps ~index ~task_set:ts events with
-          | Ok (p, []) ->
-            t.kept <- t.kept + 1;
-            Some p
           | Ok (p, fixes) ->
-            t.repaired <-
-              { Quarantine.period_index = index;
-                fixes = List.map Repair.string_of_fix fixes }
-              :: t.repaired;
-            Some p
+            salvage t index (List.map Repair.string_of_fix fixes) p
           | Error e ->
             t.dropped <-
               { Quarantine.period_index = index;

@@ -1,13 +1,12 @@
-(** Incremental parsing of the rtgen-trace v1 text format: the streaming
-    twin of {!Trace_io}.
+(** The parser of the rtgen-trace v1 text format — the only one: strict
+    and recover mode, batch and streaming.
 
     A parser pulls lines one at a time from a {!line_source} and yields
     each period as soon as its closing boundary (the next [period] line
     or end of input) is seen, holding only the period under construction
-    in memory. {!Trace_io.of_string} is a thin wrapper that drains one of
-    these over an in-memory string, so batch and streaming parses share
-    one implementation and agree byte-for-byte on periods, errors and
-    quarantine accounting.
+    in memory. {!Trace_io.of_string} and {!Trace_io.load} drain one of
+    these over an in-memory string, so batch and streaming parses agree
+    byte-for-byte on periods, errors and quarantine accounting.
 
     Line sources never materialize the input: {!lines_of_channel} reads
     a pipe or file as it goes, and {!follow_lines} tails a growing file,
@@ -87,10 +86,13 @@ type mode = [ `Strict | `Recover ]
 
 type t
 
-val create : ?mode:mode -> ?eps:int -> line_source -> t
-(** [`Strict] (default) fails on the first malformed line or period;
-    [`Recover] skips and repairs, filling the quarantine account. [eps]
-    is the clock-skew tolerance forwarded to {!Repair}. *)
+val create : ?mode:mode -> ?eps:int -> ?window:int -> line_source -> t
+(** [`Strict] (default) fails on the first malformed line or period.
+    [`Recover] skips malformed lines, repairs each damaged period with
+    {!Repair} (clock-skew tolerance [eps]), then salvages it with
+    {!salvage_period} (candidate window [window], which must match the
+    learner's), filling the quarantine account as it goes. Periods that
+    survive neither are dropped and never returned. *)
 
 val next : t -> (Period.t option, parse_error) result
 (** The next period of the stream; [Ok None] at end of input. Both end
@@ -102,7 +104,25 @@ val task_set : t -> Rt_task.Task_set.t option
 (** The task set, once its header line has been parsed. *)
 
 val quarantine : t -> Quarantine.t
-(** Snapshot of the account so far; grows as the stream is consumed. *)
+(** Snapshot of the account so far; grows as the stream is consumed.
+    Periods salvage touched come after the untouched repairs in
+    [repaired], and salvage drops after repair drops in [dropped]. *)
+
+val publish : Rt_obs.Registry.t -> t -> unit
+(** Publish the account as ["ingest.*"] counters, overwriting: lines
+    skipped and periods kept, repaired and dropped, plus in [`Recover]
+    mode ["ingest.frames_excised"], the frames salvage cut. *)
+
+val salvage_period :
+  ?window:int -> Period.t ->
+  [ `Clean | `Excised of Period.t * int | `Dropped ]
+(** Recover mode's last step on a structurally valid period. A message
+    with an empty candidate set [A_m] ({!Candidates.unexplained}) — a
+    spliced bogus frame, or a real frame whose sender's events were
+    lost — collapses the learner's hypothesis set to the empty set.
+    [`Clean]: every message has a non-empty candidate set. [`Excised
+    (p', n)]: [n] such frames were cut and the period re-validated.
+    [`Dropped]: the period does not survive excision. *)
 
 val lines_read : t -> int
 (** Lines pulled from the source so far. *)

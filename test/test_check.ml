@@ -296,6 +296,29 @@ let test_checkpoint_audit () =
   | Error (_, f) ->
     Alcotest.(check string) "bit flip is RTC203" "RTC203" f.F.rule
 
+(* A checkpoint stripped of its 32-byte integrity trailer is a file
+   cut at the payload's end: refused, not loaded unverified. *)
+let test_checkpoint_without_trailer () =
+  let trace = Lazy.force paper_trace in
+  let eng =
+    Rt_engine.Engine.create ~ntasks:(Rt_trace.Trace.task_count trace)
+      (Rt_engine.Engine.Heuristic { bound = 4 })
+  in
+  List.iter (Rt_engine.Engine.feed eng) (Rt_trace.Trace.periods trace);
+  let data =
+    match Rt_engine.Engine.checkpoint eng with
+    | Ok d -> d
+    | Error m -> Alcotest.fail m
+  in
+  let bare = String.sub data 0 (String.length data - 32) in
+  (match Rt_engine.Engine.resume bare with
+   | Ok _ -> Alcotest.fail "trailer-less checkpoint resumed"
+   | Error _ -> ());
+  match Mc.check_checkpoint ~source:"<ck>" bare with
+  | Ok _ -> Alcotest.fail "trailer-less checkpoint audited"
+  | Error (_, f) ->
+    Alcotest.(check string) "missing trailer is RTC203" "RTC203" f.F.rule
+
 (* --- the broken-model fixtures carry their documented rule ids --- *)
 
 let fixture name = Filename.concat "fixtures/models" name
@@ -355,6 +378,8 @@ let () =
             test_trace_conformance_violation;
           Alcotest.test_case "task set mismatch" `Quick test_task_set_mismatch;
           Alcotest.test_case "checkpoint audit" `Quick test_checkpoint_audit;
+          Alcotest.test_case "trailer-less checkpoint" `Quick
+            test_checkpoint_without_trailer;
           Alcotest.test_case "fixtures" `Quick test_fixtures;
         ] );
     ]

@@ -112,7 +112,7 @@ let test_hot_loop_alloc () =
     \  for i = 0 to n - 1 do\n\
     \    if bad i then fail i (Printf.sprintf \"bad %d\" i)\n\
     \  done";
-  (* The rule is scoped to the packed ingest files. *)
+  (* The rule is scoped to the ingest files. *)
   check_rules "same loop elsewhere is fine" []
     "let scan n =\n\
     \  for i = 0 to n - 1 do marks := (i, i * 2) :: !marks done";

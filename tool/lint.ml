@@ -39,7 +39,7 @@ type ctx = {
   mutable findings : F.t list;
   allow_wall_clock : bool;   (* lib/obs and lib/sim own the clock *)
   check_pool_rule : bool;    (* off inside domain_pool.ml itself *)
-  check_ingest_rule : bool;  (* only in the packed ingest hot path *)
+  check_ingest_rule : bool;  (* only in the ingest path's files *)
   check_persist_rule : bool; (* off in atomic_file.ml and lib/store *)
   mutable defines_compare : bool;
   mutable pool_aliases : string list;
@@ -194,19 +194,18 @@ let rec is_fun_literal (e : Parsetree.expression) =
   | Pexp_constraint (e, _) -> is_fun_literal e
   | _ -> false
 
-(* {2 RTL006: heap allocation in the packed ingest hot loop}
+(* {2 RTL006: heap allocation in the ingest hot loop}
 
-   The zero-allocation contract of the mmap reader and the event arena
-   is that their scan loops touch only the mapped buffer, the packed
-   Bigarray and scalar refs — one record or tuple built per event and
-   the minor heap churns in proportion to the trace. The rule is
-   syntactic and scoped: direct [Pexp_record]/[Pexp_tuple] construction
-   anywhere inside a [while]/[for] body, in the two files that own the
-   hot path. Error raises allocate too, but only once per failed load,
-   so constructions whose enclosing expression is a [raise] application
-   are exempt. *)
+   Ingest runs once per line of every trace: a loop there that builds a
+   record or tuple per iteration churns the minor heap in proportion to
+   the trace. The rule is syntactic and scoped: direct
+   [Pexp_record]/[Pexp_tuple] construction anywhere inside a
+   [while]/[for] body, in the files of the ingest path — the trace
+   parser and its strict-load entry point. Error raises allocate too,
+   but only once per failed load, so constructions whose enclosing
+   expression is a [raise] application are exempt. *)
 
-let ingest_hot_files = [ "mmap_io.ml"; "event_arena.ml" ]
+let ingest_hot_files = [ "mmap_io.ml"; "stream_io.ml" ]
 
 let rec is_raise_apply (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -238,14 +237,12 @@ let check_hot_loop_body ctx (body : Parsetree.expression) =
           (match desc with
           | Pexp_record _ ->
               emit ctx ~loc:e.pexp_loc "RTL006"
-                "record construction in a packed-ingest loop allocates \
-                 per event; keep loop state in the arena or in scalar \
-                 refs"
+                "record construction in an ingest loop allocates per \
+                 event; keep loop state in scalar refs"
           | Pexp_tuple _ ->
               emit ctx ~loc:e.pexp_loc "RTL006"
-                "tuple construction in a packed-ingest loop allocates \
-                 per event; keep loop state in the arena or in scalar \
-                 refs"
+                "tuple construction in an ingest loop allocates per \
+                 event; keep loop state in scalar refs"
           | _ -> ());
           Ast_iterator.default_iterator.expr it e
   in

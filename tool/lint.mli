@@ -15,8 +15,8 @@
     - RTL005 depval-wildcard — catch-all cases in matches over the
       7-value lattice
     - RTL006 no-hot-loop-alloc — record/tuple construction inside a
-      [while]/[for] body of the packed ingest path ([mmap_io.ml],
-      [event_arena.ml]); raise/fail error paths are exempt
+      [while]/[for] body of the ingest path ([stream_io.ml],
+      [mmap_io.ml]); raise/fail error paths are exempt
     - RTL000 suppression-needs-reason; RTL999 parse-error
 
     Suppression: [(* rtlint: allow RTL00X <reason> *)] on the flagged
