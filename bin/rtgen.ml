@@ -31,17 +31,6 @@ let read_trace ?(mode = `Strict) ?eps ?window ?obs ?(quiet = false) path =
     Error (Printf.sprintf "%s: line %d: %s" path e.line e.message)
   | exception Sys_error m -> Error m
 
-(* Shared -j/--jobs support. [jobs <= 1] stays strictly sequential (no
-   pool, no domains); learned results are identical either way — only
-   wall-clock time may differ. *)
-let with_pool jobs f =
-  if jobs <= 1 then f None
-  else begin
-    let pool = Rt_util.Domain_pool.create ~jobs in
-    Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
-      (fun () -> f (Some pool))
-  end
-
 (* --- simulate --- *)
 
 let design_of_spec ~case_study ~tasks ~local_fraction ~seed =
@@ -212,14 +201,14 @@ let note_corrupt_checkpoint ~obs ~flight where why =
    (post-quarantine) trace so a resume against different data is refused
    rather than silently wrong. [stop_after] processes that many periods and
    exits — a deterministic stand-in for getting killed, used by the tests. *)
-let run_checkpointed ~pool ~obs ~flight ~progress ~window ~bound ~every
+let run_checkpointed ~obs ~flight ~progress ~window ~bound ~every
     ~stop_after ~ckpt (q : Rt_trace.Quarantine.t) trace =
   let module Eng = Rt_engine.Engine in
   let tag = Digest.to_hex (Digest.string (Rt_trace.Trace_io.to_string trace)) in
   let ckpt_path = Slot.describe ckpt in
   let fresh () =
     let eng =
-      Eng.create ?window ?pool ?obs
+      Eng.create ?window ?obs
         ~ntasks:(Rt_trace.Trace.task_count trace) (Eng.Heuristic { bound })
     in
     Eng.set_provenance eng
@@ -245,7 +234,7 @@ let run_checkpointed ~pool ~obs ~flight ~progress ~window ~bound ~every
       match Slot.load ckpt with
       | Error m -> corrupt m
       | Ok data ->
-        (match Eng.resume ?pool ?obs (data) with
+        (match Eng.resume ?obs data with
          | Ok (eng, tag') when tag' = tag ->
            Printf.eprintf "resumed %s: %d periods already processed\n"
              ckpt_path (Eng.periods_fed eng);
@@ -603,7 +592,7 @@ let blowup_msg set_size limit =
    logger) costs one period of memory. Produces the same model and the
    same quarantine account as the batch path, because both sit on
    Stream_io / Engine. *)
-let learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps ~progress
+let learn_stream ~exact ~shards ~bound ~window ~obs ~mode ~eps ~progress
     ~dot ~output ~store ~store_ref ~metrics ~trace_events ~profile ~folded
     path =
   let write_sinks = write_sinks ~profile ?folded in
@@ -616,148 +605,148 @@ let learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps ~progress
   | Ok ic ->
     Fun.protect ~finally:(fun () -> if path <> "-" then close_in_noerr ic)
       (fun () ->
-         with_pool jobs (fun pool ->
-             let parser =
-               Rt_trace.Stream_io.create ~mode ~eps ?window
-                 (Rt_trace.Stream_io.lines_of_channel ic)
-             in
-             let alg =
-               if exact then Eng.Exact { limit = None }
-               else Eng.Heuristic { bound }
-             in
-             (* One engine, or — with --shards K — K round-robin units
-                (engine pairs) folded at end of stream. The sharded
-                units are private and obs-free; shard.* counters are
-                published from this domain instead. *)
-             let core = ref None in
-             let core_of ts =
-               match !core with
-               | Some c -> c
+         let parser =
+           Rt_trace.Stream_io.create ~mode ~eps ?window
+             (Rt_trace.Stream_io.lines_of_channel ic)
+         in
+         let alg =
+           if exact then Eng.Exact { limit = None }
+           else Eng.Heuristic { bound }
+         in
+         (* One engine, or — with --shards K — K round-robin units
+            (engine pairs) folded at end of stream. The sharded
+            units are private and obs-free; shard.* counters are
+            published from this domain instead. *)
+         let core = ref None in
+         let core_of ts =
+           match !core with
+           | Some c -> c
+           | None ->
+             let ntasks = Rt_task.Task_set.size ts in
+             let c =
+               match shards with
+               | Some k ->
+                 `Sharded
+                   (SStream.create ?window ~ntasks ~bound ~shards:k ())
                | None ->
-                 let ntasks = Rt_task.Task_set.size ts in
-                 let c =
-                   match shards with
-                   | Some k ->
-                     `Sharded
-                       (SStream.create ?window ~ntasks ~bound ~shards:k ())
-                   | None ->
-                     (* With --store, run a bound-1 companion alongside:
-                        its pre-weaken matrix is the fleet-merge
-                        interchange this process publishes. At bound 1
-                        the main engine is its own companion. *)
-                     let comp =
-                       if store <> None && not exact && bound > 1 then
-                         Some (Eng.create ?window ~ntasks
-                                 (Eng.Heuristic { bound = 1 }))
-                       else None
-                     in
-                     `Single (Eng.create ?window ?pool ?obs ~ntasks alg, comp)
+                 (* With --store, run a bound-1 companion alongside:
+                    its pre-weaken matrix is the fleet-merge
+                    interchange this process publishes. At bound 1
+                    the main engine is its own companion. *)
+                 let comp =
+                   if store <> None && not exact && bound > 1 then
+                     Some (Eng.create ?window ~ntasks
+                             (Eng.Heuristic { bound = 1 }))
+                   else None
                  in
-                 core := Some c; c
+                 `Single (Eng.create ?window ?obs ~ntasks alg, comp)
              in
-             let feed_core c p =
-               match c with
-               | `Single (e, comp) ->
-                 Eng.feed e p;
-                 Option.iter (fun c -> Eng.feed c p) comp
-               | `Sharded s -> SStream.feed s p
+             core := Some c; c
+         in
+         let feed_core c p =
+           match c with
+           | `Single (e, comp) ->
+             Eng.feed e p;
+             Option.iter (fun c -> Eng.feed c p) comp
+           | `Sharded s -> SStream.feed s p
+         in
+         let periods_fed_core = function
+           | `Single (e, _) -> Eng.periods_fed e
+           | `Sharded s -> SStream.periods_fed s
+         in
+         let hypotheses_core = function
+           | `Single (e, _) -> List.length (Eng.current e)
+           | `Sharded s -> SStream.hypotheses s
+         in
+         let rec pump () =
+           match Rt_trace.Stream_io.next parser with
+           | Error e ->
+             Error (Printf.sprintf "%s: line %d: %s" path e.line e.message)
+           | Ok None -> Ok ()
+           | Ok (Some p) ->
+             let c =
+               core_of (Option.get (Rt_trace.Stream_io.task_set parser))
              in
-             let periods_fed_core = function
-               | `Single (e, _) -> Eng.periods_fed e
-               | `Sharded s -> SStream.periods_fed s
+             feed_core c p;
+             (match progress with
+              | Some n when periods_fed_core c mod n = 0 ->
+                Printf.eprintf "progress: %d periods, %d hypotheses\n%!"
+                  (periods_fed_core c) (hypotheses_core c)
+              | Some _ | None -> ());
+             pump ()
+         in
+         let outcome =
+           match pump () with
+           | exception Rt_learn.Exact.Blowup { set_size; limit; _ } ->
+             Error (blowup_msg set_size limit)
+           | r -> r
+         in
+         match outcome with
+         | Error m -> err (m)
+         | Ok () ->
+           let q = Rt_trace.Stream_io.quarantine parser in
+           Option.iter (fun r -> Rt_trace.Stream_io.publish r parser) obs;
+           if mode = `Recover then
+             prerr_endline (Rt_trace.Quarantine.summary q);
+           match !core with
+           | Some c when periods_fed_core c > 0 ->
+             let names =
+               Rt_task.Task_set.names
+                 (Option.get (Rt_trace.Stream_io.task_set parser))
              in
-             let hypotheses_core = function
-               | `Single (e, _) -> List.length (Eng.current e)
-               | `Sharded s -> SStream.hypotheses s
+             let commit ~parts ?answers model =
+               match store with
+               | None -> Ec.ok
+               | Some dir ->
+                 (match
+                    store_commit ~store:dir ~ref_:store_ref ~names ~bound
+                      ~source:path ~created_at:(periods_fed_core c)
+                      ?answers ~parts model
+                  with
+                  | Ok () -> Ec.ok
+                  | Error m -> err ("store: " ^ m))
              in
-             let rec pump () =
-               match Rt_trace.Stream_io.next parser with
-               | Error e ->
-                 Error (Printf.sprintf "%s: line %d: %s" path e.line e.message)
-               | Ok None -> Ok ()
-               | Ok (Some p) ->
-                 let c =
-                   core_of (Option.get (Rt_trace.Stream_io.task_set parser))
-                 in
-                 feed_core c p;
-                 (match progress with
-                  | Some n when periods_fed_core c mod n = 0 ->
-                    Printf.eprintf "progress: %d periods, %d hypotheses\n%!"
-                      (periods_fed_core c) (hypotheses_core c)
-                  | Some _ | None -> ());
-                 pump ()
-             in
-             let outcome =
-               match pump () with
-               | exception Rt_learn.Exact.Blowup { set_size; limit; _ } ->
-                 Error (blowup_msg set_size limit)
-               | r -> r
-             in
-             match outcome with
-             | Error m -> err (m)
-             | Ok () ->
-               let q = Rt_trace.Stream_io.quarantine parser in
-               Option.iter (fun r -> Rt_trace.Stream_io.publish r parser) obs;
-               if mode = `Recover then
-                 prerr_endline (Rt_trace.Quarantine.summary q);
-               match !core with
-               | Some c when periods_fed_core c > 0 ->
-                 let names =
-                   Rt_task.Task_set.names
-                     (Option.get (Rt_trace.Stream_io.task_set parser))
-                 in
-                 let commit ~parts ?answers model =
-                   match store with
-                   | None -> Ec.ok
-                   | Some dir ->
-                     (match
-                        store_commit ~store:dir ~ref_:store_ref ~names ~bound
-                          ~source:path ~created_at:(periods_fed_core c)
-                          ?answers ~parts model
-                      with
-                      | Ok () -> Ec.ok
-                      | Error m -> err ("store: " ^ m))
-                 in
-                 (match c with
-                  | `Single (e, comp) ->
-                    Eng.set_provenance e
-                      ~dropped:(List.length q.Rt_trace.Quarantine.dropped)
-                      ~repaired:(List.length q.Rt_trace.Quarantine.repaired);
-                    let parts =
-                      match Eng.violations e with
-                      | Some v when not exact ->
-                        [| (Rt_shard.Shard.summary_of
-                              (Option.value comp ~default:e), v) |]
-                      | Some _ | None -> [||]
-                    in
-                    let snap = Eng.finalize e in
-                    write_sinks ~metrics ~trace_events obs;
-                    let code =
-                      render_model ~names ~dot ~output snap.Eng.hypotheses
-                    in
-                    (match snap.Eng.lub with
-                     | Some model when code = Ec.ok ->
-                       Ec.combine code
-                         (commit ~parts ~answers:snap.Eng.hypotheses model)
-                     | Some _ | None -> code)
-                  | `Sharded s ->
-                    (match obs with
-                     | Some r ->
-                       let set = Rt_obs.Registry.set_counter r in
-                       set "shard.shards" (SStream.shards s);
-                       set "shard.periods" (SStream.periods_fed s);
-                       set "shard.messages" (SStream.messages_fed s);
-                       set "shard.jobs" jobs
-                     | None -> ());
-                    write_sinks ~metrics ~trace_events obs;
-                    let folded = SStream.fold s in
-                    let code = render_folded ~names ~dot ~output folded in
-                    (match folded with
-                     | Some model when code = Ec.ok ->
-                       Ec.combine code (commit ~parts:(SStream.parts s) model)
-                     | Some _ | None -> code))
-               | Some _ | None ->
-                 err ("no usable periods after quarantine")))
+             (match c with
+              | `Single (e, comp) ->
+                Eng.set_provenance e
+                  ~dropped:(List.length q.Rt_trace.Quarantine.dropped)
+                  ~repaired:(List.length q.Rt_trace.Quarantine.repaired);
+                let parts =
+                  match Eng.violations e with
+                  | Some v when not exact ->
+                    [| (Rt_shard.Shard.summary_of
+                          (Option.value comp ~default:e), v) |]
+                  | Some _ | None -> [||]
+                in
+                let snap = Eng.finalize e in
+                write_sinks ~metrics ~trace_events obs;
+                let code =
+                  render_model ~names ~dot ~output snap.Eng.hypotheses
+                in
+                (match snap.Eng.lub with
+                 | Some model when code = Ec.ok ->
+                   Ec.combine code
+                     (commit ~parts ~answers:snap.Eng.hypotheses model)
+                 | Some _ | None -> code)
+              | `Sharded s ->
+                (match obs with
+                 | Some r ->
+                   let set = Rt_obs.Registry.set_counter r in
+                   set "shard.shards" (SStream.shards s);
+                   set "shard.periods" (SStream.periods_fed s);
+                   set "shard.messages" (SStream.messages_fed s);
+                   (* the round-robin units all run on this domain *)
+                   set "shard.jobs" 1
+                 | None -> ());
+                write_sinks ~metrics ~trace_events obs;
+                let folded = SStream.fold s in
+                let code = render_folded ~names ~dot ~output folded in
+                (match folded with
+                 | Some model when code = Ec.ok ->
+                   Ec.combine code (commit ~parts:(SStream.parts s) model)
+                 | Some _ | None -> code))
+           | Some _ | None ->
+             err ("no usable periods after quarantine"))
 
 let learn path exact auto stream shards bound window jobs dot output mode eps
     checkpoint every stop_after store store_ref flight_out metrics
@@ -780,31 +769,36 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
     | _ -> ()
   in
   let write_sinks = write_sinks ~profile ?folded in
-  let conflict =
-    if stream && checkpoint <> None then
-      Some "--stream cannot be combined with --checkpoint"
-    else if stream && auto then
-      Some "--auto re-feeds the trace at each bound and needs it in memory; \
-            drop --stream"
-    else if auto && exact then
-      Some "--auto searches for a heuristic bound; drop --exact"
-    else if (match shards with Some k -> k < 1 | None -> false) then
-      Some "--shards must be >= 1"
-    else if shards <> None && exact then
-      Some "sharded learning runs the bounded heuristic; drop --exact"
-    else if shards <> None && auto then
-      Some "--auto searches for a heuristic bound; drop --shards"
-    else if store <> None && exact then
-      Some "the store interchange is the heuristic's bound-1 companion; \
-            drop --exact"
-    else if store <> None && auto then
-      Some "--auto re-learns at several bounds; pick one bound to commit \
-            with --store"
-    else None
+  (* Flag conflicts and out-of-range numbers, checked in order before
+     the trace is read: the first condition that holds is the error. *)
+  let below_1 = function Some n -> n < 1 | None -> false in
+  let conflicts =
+    [ (stream && checkpoint <> None,
+       "--stream cannot be combined with --checkpoint");
+      (stream && auto,
+       "--auto re-feeds the trace at each bound and needs it in memory; \
+        drop --stream");
+      (auto && exact, "--auto searches for a heuristic bound; drop --exact");
+      (below_1 shards, "--shards must be >= 1");
+      (shards <> None && exact,
+       "sharded learning runs the bounded heuristic; drop --exact");
+      (shards <> None && auto,
+       "--auto searches for a heuristic bound; drop --shards");
+      (store <> None && exact,
+       "the store interchange is the heuristic's bound-1 companion; \
+        drop --exact");
+      (store <> None && auto,
+       "--auto re-learns at several bounds; pick one bound to commit \
+        with --store");
+      (bound < 1, "--bound must be >= 1");
+      (every < 1, "--every must be >= 1");
+      (below_1 progress, "--progress must be >= 1");
+      (checkpoint <> None && exact,
+       "--checkpoint requires the heuristic algorithm (drop --exact)") ]
   in
   let run () =
-  match conflict with
-  | Some m -> err (m)
+  match List.find_opt fst conflicts with
+  | Some (_, m) -> err m
   | None ->
     let checkpoint =
       match checkpoint with
@@ -815,7 +809,7 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
     | Error m -> err m
     | Ok checkpoint ->
     if stream then
-      learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps
+      learn_stream ~exact ~shards ~bound ~window ~obs ~mode ~eps
         ~progress ~dot ~output ~store ~store_ref ~metrics ~trace_events
         ~profile ~folded path
     else begin
@@ -842,10 +836,7 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
              | Error m -> err ("store: " ^ m))
         in
         if auto then begin
-          let report, chosen =
-            with_pool jobs (fun pool ->
-                Rt_engine.Learner.auto ?window ?pool ?obs trace)
-          in
+          let report, chosen = Rt_engine.Learner.auto ?window ?obs trace in
           Format.printf "auto bound search:@.";
           List.iter (fun (s : Rt_engine.Learner.bound_step) ->
               Format.printf "  bound %d: %d hypothesis(es), lub %s, %.3fs@."
@@ -880,9 +871,19 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
                write_sinks ~metrics ~trace_events obs;
                render_and_commit ~parts model)
           | None ->
+            (* -j sizes the pool the shards run on; jobs <= 1 keeps
+               them on this domain. The model is the same for every N. *)
             let out =
-              with_pool jobs (fun pool ->
-                  Rt_shard.Shard.learn ?window ?pool ?obs ~bound ~shards trace)
+              if jobs <= 1 then
+                Rt_shard.Shard.learn ?window ?obs ~bound ~shards trace
+              else begin
+                let pool = Rt_util.Domain_pool.create ~jobs in
+                Fun.protect
+                  ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
+                  (fun () ->
+                     Rt_shard.Shard.learn ?window ~pool ?obs ~bound ~shards
+                       trace)
+              end
             in
             Array.iteri
               (fun i (r : Rt_shard.Shard.result) ->
@@ -915,14 +916,10 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
           in
           let result =
             match checkpoint with
-            | Some _ when exact ->
-              Error
-                "--checkpoint requires the heuristic algorithm (drop --exact)"
             | Some ckpt ->
               (match
-                 with_pool jobs (fun pool ->
-                     run_checkpointed ~pool ~obs ~flight ~progress ~window
-                       ~bound ~every ~stop_after ~ckpt q trace)
+                 run_checkpointed ~obs ~flight ~progress ~window ~bound
+                   ~every ~stop_after ~ckpt q trace
                with
                | Error _ as e -> e
                | Ok None -> Ok None
@@ -935,43 +932,42 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
                  in
                  Ok (Some (s.Rt_engine.Engine.hypotheses, parts)))
             | None ->
-              with_pool jobs (fun pool ->
-                  let alg =
-                    if exact then Eng.Exact { limit = None }
-                    else Eng.Heuristic { bound }
-                  in
-                  let ntasks = Rt_trace.Trace.task_count trace in
-                  let eng = Eng.create ?window ?pool ?obs ~ntasks alg in
-                  let companion =
-                    if store <> None && not exact && bound > 1 then
-                      Some (Eng.create ?window ~ntasks
-                              (Eng.Heuristic { bound = 1 }))
-                    else None
-                  in
-                  Eng.set_provenance eng
-                    ~dropped:(List.length q.dropped)
-                    ~repaired:(List.length q.repaired);
-                  let periods = Rt_trace.Trace.periods trace in
-                  let total = List.length periods in
-                  match
-                    List.iteri (fun i p ->
-                        Eng.feed eng p;
-                        Option.iter (fun c -> Eng.feed c p) companion;
-                        match progress with
-                        | Some n when (i + 1) mod n = 0 || i + 1 = total ->
-                          Printf.eprintf
-                            "progress: %d/%d periods, %d hypotheses\n%!"
-                            (i + 1) total (List.length (Eng.current eng))
-                        | Some _ | None -> ())
-                      periods
-                  with
-                  | () ->
-                    let parts =
-                      if exact then [||] else parts_of ~main:eng ~companion
-                    in
-                    Ok (Some ((Eng.finalize eng).Eng.hypotheses, parts))
-                  | exception Rt_learn.Exact.Blowup { set_size; limit; _ } ->
-                    Error (blowup_msg set_size limit))
+              let alg =
+                if exact then Eng.Exact { limit = None }
+                else Eng.Heuristic { bound }
+              in
+              let ntasks = Rt_trace.Trace.task_count trace in
+              let eng = Eng.create ?window ?obs ~ntasks alg in
+              let companion =
+                if store <> None && not exact && bound > 1 then
+                  Some (Eng.create ?window ~ntasks
+                          (Eng.Heuristic { bound = 1 }))
+                else None
+              in
+              Eng.set_provenance eng
+                ~dropped:(List.length q.dropped)
+                ~repaired:(List.length q.repaired);
+              let periods = Rt_trace.Trace.periods trace in
+              let total = List.length periods in
+              match
+                List.iteri (fun i p ->
+                    Eng.feed eng p;
+                    Option.iter (fun c -> Eng.feed c p) companion;
+                    match progress with
+                    | Some n when (i + 1) mod n = 0 || i + 1 = total ->
+                      Printf.eprintf
+                        "progress: %d/%d periods, %d hypotheses\n%!"
+                        (i + 1) total (List.length (Eng.current eng))
+                    | Some _ | None -> ())
+                  periods
+              with
+              | () ->
+                let parts =
+                  if exact then [||] else parts_of ~main:eng ~companion
+                in
+                Ok (Some ((Eng.finalize eng).Eng.hypotheses, parts))
+              | exception Rt_learn.Exact.Blowup { set_size; limit; _ } ->
+                Error (blowup_msg set_size limit)
           in
           write_sinks ~metrics ~trace_events obs;
           (match result with
@@ -1122,7 +1118,7 @@ let watch path bound window mode eps poll follow max_periods flight_out =
 
 (* --- analyze --- *)
 
-let analyze path bound window jobs mode eps =
+let analyze path bound window mode eps =
   match read_trace ~mode ~eps ?window path with
   | Error m -> err (m)
   | Ok (trace, _) when Rt_trace.Trace.period_count trace = 0 ->
@@ -1138,10 +1134,7 @@ let analyze path bound window jobs mode eps =
            repaired, %d dropped@."
           (100.0 *. c) (List.length q.repaired) (List.length q.dropped)
     end;
-    (match
-       with_pool jobs (fun pool ->
-           (Rt_learn.Heuristic.run ?pool ?window ~bound trace).hypotheses)
-     with
+    (match (Rt_learn.Heuristic.run ?window ~bound trace).hypotheses with
      | [] -> err ("inconsistent trace")
      | hs ->
        let model = Rt_lattice.Depfun.lub hs in
@@ -1334,7 +1327,7 @@ let top socket interval count no_clear =
 (* --- serve --- *)
 
 let serve spool listen control out_dir checkpoint_dir store checkpoint_every
-    bound window eps jobs max_streams queue_capacity tick max_restarts backoff
+    bound window eps max_streams queue_capacity tick max_restarts backoff
     backoff_cap stall_timeout idle_timeout metrics flight flight_capacity
     stop_after_total drain_after_total =
   let policy =
@@ -1361,7 +1354,6 @@ let serve spool listen control out_dir checkpoint_dir store checkpoint_every
       bound;
       window;
       eps = Some eps;
-      jobs;
       max_streams;
       queue_capacity;
       tick;
@@ -1468,7 +1460,7 @@ let gantt path period output =
 
 (* --- query (was `check` before the model auditor took that name) --- *)
 
-let run_query path query bound window jobs model_file =
+let run_query path query bound window model_file =
   match read_trace path with
   | Error m -> err (m)
   | Ok (trace, _) ->
@@ -1500,10 +1492,7 @@ let run_query path query bound window jobs model_file =
                  | Error m -> Error (file ^ ": " ^ m)
                with Sys_error m -> Error m))
          | None ->
-           (match
-              with_pool jobs (fun pool ->
-                  (Rt_learn.Heuristic.run ?pool ?window ~bound trace).hypotheses)
-            with
+           (match (Rt_learn.Heuristic.run ?window ~bound trace).hypotheses with
             | [] -> Error "inconsistent trace"
             | hs ->
               Ok (Rt_lattice.Depfun.lub hs,
@@ -1823,19 +1812,18 @@ let cmd_store_gc dir =
 
 (* --- table1 --- *)
 
-let table1 fast jobs =
+let table1 fast =
   let trace = Rt_case.Gm_model.trace () in
   Format.printf "%a@." Rt_trace.Trace.pp_summary trace;
   let bounds = if fast then [ 1; 4; 16 ] else [ 1; 4; 16; 32; 64; 100; 120; 150 ] in
   let rows =
-    with_pool jobs (fun pool ->
-        List.map (fun bound ->
-            let t0 = Rt_obs.Registry.now_ns () in
-            let o = Rt_learn.Heuristic.run ?pool ~bound trace in
-            let dt = float_of_int (Rt_obs.Registry.now_ns () - t0) /. 1e9 in
-            [ string_of_int bound; Printf.sprintf "%.3f" dt;
-              string_of_int (List.length o.hypotheses) ])
-          bounds)
+    List.map (fun bound ->
+        let t0 = Rt_obs.Registry.now_ns () in
+        let o = Rt_learn.Heuristic.run ~bound trace in
+        let dt = float_of_int (Rt_obs.Registry.now_ns () - t0) /. 1e9 in
+        [ string_of_int bound; Printf.sprintf "%.3f" dt;
+          string_of_int (List.length o.hypotheses) ])
+      bounds
   in
   print_string
     (Rt_util.Table.render
@@ -1866,11 +1854,6 @@ let periods_arg =
 let bound_arg =
   Arg.(value & opt int 16 & info [ "bound"; "b" ] ~docv:"B"
          ~doc:"Hypothesis-set bound for the heuristic algorithm.")
-
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for the hypothesis fan-out (1 = sequential; \
-               results are identical for every N).")
 
 let window_arg =
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"US"
@@ -2066,6 +2049,11 @@ let learn_cmd =
            ~doc:"Report progress on stderr every N periods (heuristic \
                  algorithm only).")
   in
+  let jobs =
+    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Worker domains for $(b,--shards) (1 = sequential; \
+                 results are identical for every N).")
+  in
   let shards =
     Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K"
            ~doc:"Partition the trace into K period ranges, learn each \
@@ -2077,7 +2065,7 @@ let learn_cmd =
   in
   Cmd.v (Cmd.info "learn" ~doc:"Learn a dependency model from a trace")
     Term.((const learn $ stream_trace_arg $ exact $ auto $ stream $ shards
-               $ bound_arg $ window_arg $ jobs_arg $ dot_arg $ output
+               $ bound_arg $ window_arg $ jobs $ dot_arg $ output
                $ mode_arg $ eps_arg $ checkpoint $ every $ stop_after
                $ store $ store_ref $ flight
                $ metrics $ trace_events $ profile $ folded $ progress))
@@ -2112,7 +2100,7 @@ let watch_cmd =
 let analyze_cmd =
   Cmd.v (Cmd.info "analyze"
            ~doc:"Learn and analyze: classification, state space, modes")
-    Term.((const analyze $ trace_arg $ bound_arg $ window_arg $ jobs_arg
+    Term.((const analyze $ trace_arg $ bound_arg $ window_arg
                $ mode_arg $ eps_arg))
 
 let inject_cmd =
@@ -2308,7 +2296,7 @@ let serve_cmd =
                  (rtgend)")
     Term.((const serve $ spool $ listen $ control $ out_dir $ checkpoint_dir
                $ store $ checkpoint_every $ bound_arg $ window_arg $ eps_arg
-               $ jobs_arg $ max_streams $ queue_capacity $ tick
+               $ max_streams $ queue_capacity $ tick
                $ max_restarts $ backoff $ backoff_cap $ stall_timeout
                $ idle_timeout $ metrics $ flight $ flight_capacity
                $ stop_after_total $ drain_after_total))
@@ -2395,7 +2383,7 @@ let query_cmd =
            ~doc:"Check a dependency property against the learned model \
                  (exit 1 when it does not hold)")
     Term.((const run_query $ trace_arg $ query $ bound_arg $ window_arg
-               $ jobs_arg $ model_file))
+               $ model_file))
 
 let check_cmd =
   (* [string], not [file]: a missing model is this tool's input error
@@ -2531,7 +2519,7 @@ let store_cmd =
 let table1_cmd =
   let fast = Arg.(value & flag & info [ "fast" ] ~doc:"Only the small bounds.") in
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce the paper's runtime-vs-bound table")
-    Term.((const table1 $ fast $ jobs_arg))
+    Term.((const table1 $ fast))
 
 let example_cmd =
   Cmd.v (Cmd.info "example" ~doc:"Run the paper's worked example")

@@ -35,7 +35,6 @@ type state = {
   policy : merge_policy;
   window : int option;
   bound : int;
-  pool : Rt_util.Domain_pool.t option;
   violations : Violations.t;
   scratch : Workset.t;  (* per-message working set, reused across messages *)
   mutable hs : Hypothesis.t array;  (* ascending (weight, structural) order *)
@@ -46,10 +45,8 @@ type state = {
   mutable dropped : int;   (* periods quarantine dropped before feeding *)
   mutable repaired : int;  (* periods repaired by ingestion *)
   (* Observability counters. Like [merges]/[created] they are counted
-     unconditionally (single int stores on the sequential merge path —
-     nothing observable on the parallel fan-out), deterministically
-     across -j levels, and travel through checkpoints so a resumed run
-     reports the same totals as an uninterrupted one. *)
+     unconditionally (single int stores), and travel through checkpoints
+     so a resumed run reports the same totals as an uninterrupted one. *)
   mutable branches : int;      (* generalization attempts (parents × pairs) *)
   mutable dedup_hits : int;    (* children the working set rejected as dups *)
   mutable evictions : int;     (* hypotheses removed by bound-forced merges *)
@@ -62,14 +59,13 @@ type state = {
   occ_gauge : Rt_obs.Registry.gauge option;
 }
 
-let init ?(policy = Lightest_pair) ?window ?pool ?obs ~bound ~ntasks () =
+let init ?(policy = Lightest_pair) ?window ?obs ~bound ~ntasks () =
   if bound < 1 then invalid_arg "Heuristic.init: bound must be >= 1";
   if ntasks < 1 then invalid_arg "Heuristic.init: need at least one task";
   {
     policy;
     window;
     bound;
-    pool;
     violations = Violations.create ntasks;
     scratch = Workset.create ~bound;
     hs = [| Hypothesis.bottom ntasks |];
@@ -115,30 +111,23 @@ let rec add st h =
   end
   else st.dedup_hits <- st.dedup_hits + 1
 
-let fanout pairs h =
-  List.filter_map
-    (fun (s, r) -> Hypothesis.generalize_message h ~sender:s ~receiver:r)
-    pairs
-
-(* The fan-out (one fresh hypothesis per live hypothesis × candidate pair,
-   each an O(t²) matrix copy) is where the time goes and is embarrassingly
-   parallel: [generalize_message] only reads its parent. The merge into
-   the bounded set stays sequential and consumes the children in canonical
-   parent order — chunk scheduling cannot change the outcome. *)
+(* Each live hypothesis is extended by every candidate pair (an O(t²)
+   matrix copy per child), and each child goes straight into the bounded
+   working set, in parent-then-pair order. *)
 let step_message st hs pairs =
   st.branches <- st.branches + (Array.length hs * List.length pairs);
-  let children =
-    match st.pool with
-    | Some pool when Array.length hs > 1 ->
-      Rt_util.Domain_pool.map pool (fanout pairs) hs
-    | Some _ | None -> Array.map (fanout pairs) hs
-  in
   Workset.clear st.scratch;
   Array.iter
-    (List.iter (fun h' ->
-         st.created <- st.created + 1;
-         add st h'))
-    children;
+    (fun h ->
+       List.iter
+         (fun (s, r) ->
+            match Hypothesis.generalize_message h ~sender:s ~receiver:r with
+            | Some h' ->
+              st.created <- st.created + 1;
+              add st h'
+            | None -> ())
+         pairs)
+    hs;
   Workset.to_array st.scratch
 
 let feed st (p : Period.t) =
@@ -228,9 +217,9 @@ let snapshot st =
   publish st;
   { hypotheses = current st; stats = stats st }
 
-let run ?policy ?window ?pool ?obs ~bound trace =
+let run ?policy ?window ?obs ~bound trace =
   let st =
-    init ?policy ?window ?pool ?obs ~bound
+    init ?policy ?window ?obs ~bound
       ~ntasks:(Rt_trace.Trace.task_count trace) ()
   in
   List.iter (feed st) (Rt_trace.Trace.periods trace);
@@ -328,7 +317,7 @@ let verify_trailer data =
       else Ok payload
   end
 
-let resume_payload ?pool ?obs data =
+let resume_payload ?obs data =
   let exception Bad of string in
   let len = String.length data in
   let pos = ref 0 in
@@ -419,7 +408,6 @@ let resume_payload ?pool ?obs data =
         policy;
         window;
         bound;
-        pool;
         violations = Violations.of_matrix vm;
         scratch = Workset.create ~bound;
         hs;
@@ -449,7 +437,7 @@ let resume_payload ?pool ?obs data =
     Ok (st, tag)
   with Bad m -> Error m
 
-let resume ?pool ?obs data =
+let resume ?obs data =
   (* A well-formed header with a foreign version number is reported as
      such before the trailer is consulted: other versions wrote other
      trailers (or none), so the checksum verdict would only mislead. *)
@@ -464,7 +452,7 @@ let resume ?pool ?obs data =
   match verify_trailer data with
   | Error _ as e -> e
   | Ok payload ->
-    (match resume_payload ?pool ?obs payload with
+    (match resume_payload ?obs payload with
      | r -> r
      | exception e ->
        (* Whatever slips past the checks above must still degrade

@@ -20,7 +20,6 @@ exception Starve
 type t = {
   id : string;
   cfg : config;
-  pool : Rt_util.Domain_pool.t option;
   flight : Rt_obs.Flight.scope option;
   lines : string Bqueue.t;
   eof : bool ref;
@@ -34,7 +33,7 @@ type t = {
 
 let tag_of id = "rtgend:" ^ id
 
-let create ~id ?pool ?flight cfg =
+let create ~id ?flight cfg =
   let lines = Bqueue.create ~capacity:cfg.queue_capacity in
   let eof = ref false in
   let source () =
@@ -53,7 +52,7 @@ let create ~id ?pool ?flight cfg =
        | Error m ->
          (None, 0, Some (Printf.sprintf "checkpoint %s unreadable (%s); starting fresh" p m))
        | Ok data ->
-         (match Eng.resume ?pool ?flight data with
+         (match Eng.resume ?flight data with
           | Ok (eng, tag) when tag = tag_of id ->
             (Some eng, Eng.periods_fed eng, None)
           | Ok (_, tag) ->
@@ -79,7 +78,6 @@ let create ~id ?pool ?flight cfg =
   ( {
       id;
       cfg;
-      pool;
       flight;
       lines;
       eof;
@@ -121,7 +119,7 @@ let engine_of t =
   | None ->
     let ts = Option.get (Sio.task_set t.parser) in
     let e =
-      Eng.create ?window:t.cfg.window ?pool:t.pool ?flight:t.flight
+      Eng.create ?window:t.cfg.window ?flight:t.flight
         ~ntasks:(Rt_task.Task_set.size ts)
         (Eng.Heuristic { bound = t.cfg.bound })
     in

@@ -147,6 +147,31 @@ let test_anonymize () =
 let test_missing_file () =
   ignore (run ~expect_fail:true "learn /nonexistent/file.trace")
 
+(* Out-of-range numbers and flag conflicts are input errors (exit 2),
+   refused before the trace is read: no internal error, no partial
+   checkpoint, and a missing trace cannot mask them. *)
+let test_learn_rejects_out_of_range () =
+  let ckpt = tmp "out_of_range.ckpt" in
+  if Sys.file_exists ckpt then Sys.remove ckpt;
+  List.iter
+    (fun (args, message) ->
+       let code, _ = run_code args in
+       Alcotest.(check int) ("exit 2: " ^ args) 2 code;
+       Alcotest.(check bool) ("says " ^ message) true
+         (contains ~needle:message (read_file (tmp "stderr"))))
+    [ (Printf.sprintf "learn %s --bound 0" trace_file, "--bound must be >= 1");
+      (Printf.sprintf "learn %s --checkpoint %s --every 0" trace_file ckpt,
+       "--every must be >= 1");
+      (Printf.sprintf "learn %s --shards 3 --checkpoint %s --every 0"
+         trace_file ckpt,
+       "--every must be >= 1");
+      (Printf.sprintf "learn %s --progress 0" trace_file,
+       "--progress must be >= 1");
+      (Printf.sprintf "learn /nonexistent/file.trace --exact --checkpoint %s"
+         ckpt,
+       "--checkpoint requires the heuristic algorithm (drop --exact)") ];
+  Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ckpt)
+
 (* --- static analysis: rtgen check + rtlint exit codes and rule ids --- *)
 
 let bad_diag_text = "    A    B\nA   ->   ->\nB   <-   ||\n"
@@ -350,7 +375,7 @@ let test_checkpoint_wrong_trace_refused () =
   Sys.remove ckpt
 
 (* The counters section of a metrics file — the part that must be
-   deterministic across -j levels, checkpoint resumes, and batch vs
+   deterministic across shard pool sizes, checkpoint resumes, and batch vs
    streamed ingestion (histograms and spans cover only the resumed
    segment's work and timing). The registry orders it before the
    timing-dependent sections precisely to allow this textual cut. *)
@@ -541,6 +566,20 @@ let test_learn_shards_checkpoint_resume () =
          || Sys.file_exists (Printf.sprintf "%s.shard%d.b1" ckpt i)))
     [ 0; 1; 2 ]
 
+(* One counter's value, as written in the counters section. *)
+let counter path name =
+  let needle = Printf.sprintf "%S: " name in
+  match
+    List.find_opt (fun l -> contains ~needle l)
+      (String.split_on_char '\n' (counters_section path))
+  with
+  | Some l ->
+    let l = String.trim l in
+    let v = String.length needle in
+    String.sub l v (String.length l - v)
+    |> String.split_on_char ',' |> List.hd
+  | None -> Alcotest.failf "%s: no counter %s" path name
+
 let test_learn_shards_metrics () =
   let m = tmp "gm_shard_metrics.json" in
   ignore
@@ -552,7 +591,40 @@ let test_learn_shards_metrics () =
        Alcotest.(check bool) (needle ^ " recorded") true
          (contains ~needle:(Printf.sprintf "%S" needle) text))
     [ "shard.shards"; "shard.periods"; "shard.messages"; "shard.jobs";
-      "shard.worker_us" ]
+      "shard.worker_us" ];
+  Alcotest.(check string) "batch shard.jobs is the pool size" "2"
+    (counter m "shard.jobs");
+  (* The streamed round-robin units all run on the calling domain,
+     whatever -j says. *)
+  let ms = tmp "gm_shard_stream_metrics.json" in
+  ignore
+    (run (Printf.sprintf
+            "learn --stream %s --bound 4 --shards 3 -j 2 --metrics %s"
+            trace_file ms));
+  Alcotest.(check string) "streamed shard.jobs is 1" "1"
+    (counter ms "shard.jobs")
+
+(* -j only sizes the shard pool: stdout, the saved model and every
+   counter but shard.jobs (which records N) are the same for every N. *)
+let test_learn_shards_jobs_byte_equal () =
+  let learn j =
+    let o = tmp (Printf.sprintf "gm_shard_j%d.model" j)
+    and m = tmp (Printf.sprintf "gm_shard_j%d.json" j) in
+    let out =
+      run (Printf.sprintf "learn %s --bound 4 --shards 4 -j %d -o %s \
+                           --metrics %s" trace_file j o m)
+    in
+    let counters =
+      String.split_on_char '\n' (counters_section m)
+      |> List.filter (fun l -> not (contains ~needle:"\"shard.jobs\"" l))
+    in
+    (out, read_file o, counters)
+  in
+  let out1, model1, counters1 = learn 1 and out2, model2, counters2 = learn 2 in
+  Alcotest.(check string) "stdout -j 1 = -j 2" out1 out2;
+  Alcotest.(check string) "model file -j 1 = -j 2" model1 model2;
+  Alcotest.(check (list string)) "counters -j 1 = -j 2 (bar shard.jobs)"
+    counters1 counters2
 
 let test_learn_shards_conflicts () =
   ignore
@@ -655,15 +727,6 @@ let test_learn_metrics_and_report () =
     (contains ~needle:"== learn ==" report
      && contains ~needle:"== ingest ==" report);
   ignore (run ~expect_fail:true (Printf.sprintf "report %s" trace_file))
-
-let test_metrics_deterministic_across_jobs () =
-  let m1 = tmp "gm_metrics_j1.json" and m4 = tmp "gm_metrics_j4.json" in
-  ignore
-    (run (Printf.sprintf "learn %s --bound 4 -j 1 --metrics %s" trace_file m1));
-  ignore
-    (run (Printf.sprintf "learn %s --bound 4 -j 4 --metrics %s" trace_file m4));
-  Alcotest.(check string) "counters identical across -j"
-    (counters_section m1) (counters_section m4)
 
 let test_metrics_deterministic_across_resume () =
   let ckpt = tmp "gm_metrics.ckpt" in
@@ -924,6 +987,23 @@ let test_serve_live_report_isolation () =
 let test_serve_flag_validation () =
   ignore (run ~expect_fail:true "serve");
   ignore (run ~expect_fail:true "serve --spool /nonexistent/spool_dir");
+  (* Out-of-range numbers are refused up front (exit 2), not left to
+     crash-loop every stream through its restarts. *)
+  let spool = tmp "range_spool" in
+  if not (Sys.file_exists spool) then Sys.mkdir spool 0o755;
+  List.iter
+    (fun (flag, message) ->
+       let code, _ =
+         (* --drain-after-total 0 ends a run that got past validation *)
+         run_code
+           (Printf.sprintf "serve --spool %s --drain-after-total 0 %s" spool
+              flag)
+       in
+       Alcotest.(check int) ("exit 2: serve " ^ flag) 2 code;
+       Alcotest.(check bool) ("says " ^ message) true
+         (contains ~needle:message (read_file (tmp "stderr"))))
+    [ ("--bound 0", "--bound must be >= 1");
+      ("--checkpoint-every 0", "--checkpoint-every must be >= 1") ];
   ignore
     (run ~expect_fail:true
        (Printf.sprintf "report --socket %s" (tmp "no_such.sock")))
@@ -1164,6 +1244,8 @@ let () =
           Alcotest.test_case "example" `Quick test_example;
           Alcotest.test_case "anonymize" `Quick test_anonymize;
           Alcotest.test_case "missing file" `Quick test_missing_file;
+          Alcotest.test_case "learn rejects out-of-range numbers" `Quick
+            test_learn_rejects_out_of_range;
         ] );
       ( "static analysis",
         [
@@ -1220,6 +1302,8 @@ let () =
             test_learn_shards_checkpoint_resume;
           Alcotest.test_case "sharded metrics keys" `Quick
             test_learn_shards_metrics;
+          Alcotest.test_case "sharded -j 1 = -j 2" `Quick
+            test_learn_shards_jobs_byte_equal;
           Alcotest.test_case "sharded flag conflicts" `Quick
             test_learn_shards_conflicts;
           Alcotest.test_case "learn --auto trajectory" `Quick
@@ -1259,8 +1343,6 @@ let () =
         [
           Alcotest.test_case "learn --metrics + report" `Quick
             test_learn_metrics_and_report;
-          Alcotest.test_case "counters deterministic across -j" `Quick
-            test_metrics_deterministic_across_jobs;
           Alcotest.test_case "counters deterministic across resume" `Quick
             test_metrics_deterministic_across_resume;
           Alcotest.test_case "stats --recover" `Quick test_stats_recover;

@@ -448,6 +448,25 @@ let test_daemon_drain () =
    | Error e -> Alcotest.failf "daemon: %s" e);
   check_models out seeds
 
+(* A bound or checkpoint cadence below 1 is a setup error: [run]
+   refuses the config before admitting a stream, rather than letting
+   every stream crash-loop through its restarts. *)
+let test_daemon_rejects_out_of_range () =
+  let spool = tmpdir () and out = tmpdir () in
+  let threshold = make_spool spool [ 1 ] in
+  let cfg = daemon_cfg ~spool ~out ~drain_after:threshold () in
+  List.iter
+    (fun (what, cfg, message) ->
+      match Daemon.run cfg with
+      | Error m -> Alcotest.(check string) what message m
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [ ("bound 0", { cfg with Daemon.bound = 0 }, "--bound must be >= 1");
+      ( "checkpoint_every 0",
+        { cfg with Daemon.checkpoint_every = 0 },
+        "--checkpoint-every must be >= 1" ) ];
+  Alcotest.(check bool) "no model written" false
+    (Sys.file_exists (Filename.concat out "veh00.model"))
+
 let test_daemon_kill_resume () =
   let spool = tmpdir () and out = tmpdir () and ckpt = tmpdir () in
   let seeds = [ 5; 6; 7 ] in
@@ -765,6 +784,8 @@ let () =
         [
           Alcotest.test_case "spool drain byte-equality" `Quick
             test_daemon_drain;
+          Alcotest.test_case "out-of-range config refused" `Quick
+            test_daemon_rejects_out_of_range;
           Alcotest.test_case "kill twice, resume, byte-equality" `Quick
             test_daemon_kill_resume;
           Alcotest.test_case "corrupt stream isolation" `Quick

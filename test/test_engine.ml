@@ -33,17 +33,9 @@ let counters r =
   let a = find "\"counters\"" 0 in
   String.sub s a (find "\"gauges\"" a - a)
 
-let with_pool jobs f =
-  if jobs <= 1 then f None
-  else begin
-    let pool = Rt_util.Domain_pool.create ~jobs in
-    Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
-      (fun () -> f (Some pool))
-  end
-
-let engine_fed ?pool ?obs ~bound trace =
+let engine_fed ?obs ~bound trace =
   let eng =
-    Eng.create ?pool ?obs ~ntasks:(T.task_count trace)
+    Eng.create ?obs ~ntasks:(T.task_count trace)
       (Eng.Heuristic { bound })
   in
   List.iter (Eng.feed eng) (T.periods trace);
@@ -51,15 +43,10 @@ let engine_fed ?pool ?obs ~bound trace =
 
 (* --- batch = engine-fed, byte for byte --- *)
 
-let check_equiv ~bound ~jobs () =
+let check_equiv ~bound () =
   let r_learner = Reg.create () and r_engine = Reg.create () in
-  let rep =
-    with_pool jobs (fun pool ->
-        L.learn ?pool ~obs:r_learner (L.Heuristic bound) gm)
-  in
-  let snap =
-    with_pool jobs (fun pool -> engine_fed ?pool ~obs:r_engine ~bound gm)
-  in
+  let rep = L.learn ~obs:r_learner (L.Heuristic bound) gm in
+  let snap = engine_fed ~obs:r_engine ~bound gm in
   Alcotest.(check (list string)) "hypotheses byte-equal"
     (hyp_strings rep.L.hypotheses) (hyp_strings snap.Eng.hypotheses);
   Alcotest.(check (option string)) "lub equal"
@@ -71,10 +58,8 @@ let check_equiv ~bound ~jobs () =
   Alcotest.(check string) "counters byte-equal"
     (counters r_learner) (counters r_engine)
 
-let test_equiv_bound4_j1 () = check_equiv ~bound:4 ~jobs:1 ()
-let test_equiv_bound4_j4 () = check_equiv ~bound:4 ~jobs:4 ()
-let test_equiv_bound64_j1 () = check_equiv ~bound:64 ~jobs:1 ()
-let test_equiv_bound64_j4 () = check_equiv ~bound:64 ~jobs:4 ()
+let test_equiv_bound4 () = check_equiv ~bound:4 ()
+let test_equiv_bound64 () = check_equiv ~bound:64 ()
 
 (* --- mid-stream snapshots are free --- *)
 
@@ -243,10 +228,8 @@ let () =
     [
       ( "equivalence",
         [
-          Alcotest.test_case "bound 4, -j 1" `Quick test_equiv_bound4_j1;
-          Alcotest.test_case "bound 4, -j 4" `Quick test_equiv_bound4_j4;
-          Alcotest.test_case "bound 64, -j 1" `Quick test_equiv_bound64_j1;
-          Alcotest.test_case "bound 64, -j 4" `Quick test_equiv_bound64_j4;
+          Alcotest.test_case "bound 4, -j 1" `Quick test_equiv_bound4;
+          Alcotest.test_case "bound 64, -j 1" `Quick test_equiv_bound64;
           Alcotest.test_case "mid-stream snapshot" `Quick
             test_midstream_snapshot_is_free;
         ] );

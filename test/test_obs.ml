@@ -245,24 +245,6 @@ let test_trace_events () =
 
 let gm_trace = lazy (Rt_case.Gm_model.trace ~periods:6 ())
 
-let learn_counters ?pool () =
-  let module H = Rt_learn.Heuristic in
-  let trace = Lazy.force gm_trace in
-  let st =
-    H.init ?pool ~bound:8 ~ntasks:(Rt_trace.Trace.task_count trace) ()
-  in
-  List.iter (H.feed st) (Rt_trace.Trace.periods trace);
-  H.counters st
-
-let test_counters_parallel_deterministic () =
-  let seq = learn_counters () in
-  let pool = Rt_util.Domain_pool.create ~jobs:4 in
-  let par =
-    Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
-      (fun () -> learn_counters ~pool ())
-  in
-  Alcotest.(check bool) "counters identical across -j" true (seq = par)
-
 let test_counters_travel_checkpoint () =
   let module H = Rt_learn.Heuristic in
   let trace = Lazy.force gm_trace in
@@ -502,8 +484,6 @@ let () =
         ] );
       ( "learner-counters",
         [
-          Alcotest.test_case "deterministic across -j" `Quick
-            test_counters_parallel_deterministic;
           Alcotest.test_case "travel through checkpoints" `Quick
             test_counters_travel_checkpoint;
           Alcotest.test_case "version-1 checkpoint refused" `Quick

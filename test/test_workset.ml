@@ -184,17 +184,6 @@ let test_equivalence_all_policies () =
         [ 1; 2; 3; 8; 64 ])
     policies
 
-(* Parallel fan-out must be invisible in the result (DESIGN.md §9). *)
-let test_parallel_fanout_deterministic () =
-  let trace = Test_support.simulate ~periods:6 ~seed:7 (Test_support.small_design 7) in
-  let serial = H.run ~bound:8 trace in
-  let pool = Rt_util.Domain_pool.create ~jobs:3 in
-  Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
-    (fun () ->
-       let parallel = H.run ~pool ~bound:8 trace in
-       Alcotest.(check bool) "pool run identical" true
-         (same_outcome serial parallel))
-
 let () =
   Alcotest.run "workset"
     [
@@ -221,7 +210,5 @@ let () =
           qc_equivalence;
           Alcotest.test_case "all policies, merge-heavy bounds" `Quick
             test_equivalence_all_policies;
-          Alcotest.test_case "parallel fan-out deterministic" `Quick
-            test_parallel_fanout_deterministic;
         ] );
     ]
