@@ -11,6 +11,7 @@ module Ec = Rt_check.Exit_code
 module Store = Rt_store.Store
 module Codec = Rt_store.Codec
 module Slot = Rt_store.Slot
+module Unit = Rt_shard.Shard.Unit
 
 (* Commands evaluate to their exit code (Cmd.eval'); every input
    failure goes through here so stderr phrasing and the exit code
@@ -195,278 +196,218 @@ let note_corrupt_checkpoint ~obs ~flight where why =
       (Printf.sprintf "%s; starting fresh" why)
   | None -> ()
 
-(* Checkpointed heuristic learning: feed period by period, snapshotting the
-   engine every [every] periods into [ckpt] — a bare file or a store ref
-   ([DIR//ref]). A checkpoint is tagged with a digest of the
-   (post-quarantine) trace so a resume against different data is refused
-   rather than silently wrong. [stop_after] processes that many periods and
-   exits — a deterministic stand-in for getting killed, used by the tests. *)
-let run_checkpointed ~obs ~flight ~progress ~window ~bound ~every
-    ~stop_after ~ckpt (q : Rt_trace.Quarantine.t) trace =
-  let module Eng = Rt_engine.Engine in
-  let tag = Digest.to_hex (Digest.string (Rt_trace.Trace_io.to_string trace)) in
-  let ckpt_path = Slot.describe ckpt in
-  let fresh () =
-    let eng =
-      Eng.create ?window ?obs
-        ~ntasks:(Rt_trace.Trace.task_count trace) (Eng.Heuristic { bound })
-    in
-    Eng.set_provenance eng
-      ~dropped:(List.length q.dropped)
-      ~repaired:(List.length q.repaired);
-    Ok eng
+(* Checkpoint slot of one engine of a learn unit: the --checkpoint slot
+   itself for the unsharded main engine, FILE.shard<i> / REF/shard<i>
+   per shard, and a .b1 / /b1 suffix for a bound-1 companion. [shard]
+   is a shard index, or "*" to name them all in a message. *)
+let unit_slot ckpt ~shard role =
+  let sep = match ckpt with Slot.File _ -> "." | Slot.Ref _ -> "/" in
+  let suffix =
+    (match shard with None -> "" | Some i -> sep ^ "shard" ^ i)
+    ^ (match role with Unit.Main -> "" | Unit.Companion -> sep ^ "b1")
   in
-  let corrupt m =
-    (* Integrity damage (torn write, flipped bit): the checkpoint
-       is an optimization, not the data — warn and relearn from
-       scratch rather than dying on a recovery aid. A *mismatched*
-       checkpoint still refuses below: that one parsed fine and
-       points at operator error. *)
-    Printf.eprintf
-      "warning: %s: %s; starting fresh (the corrupt checkpoint will \
-       be overwritten)\n" ckpt_path m;
-    note_corrupt_checkpoint ~obs ~flight ckpt_path
-      (Printf.sprintf "%s: %s" ckpt_path m);
-    fresh ()
-  in
-  let eng =
-    if Slot.exists ckpt then
-      match Slot.load ckpt with
-      | Error m -> corrupt m
-      | Ok data ->
-        (match Eng.resume ?obs data with
-         | Ok (eng, tag') when tag' = tag ->
-           Printf.eprintf "resumed %s: %d periods already processed\n"
-             ckpt_path (Eng.periods_fed eng);
-           Ok eng
-         | Ok _ ->
-           Error (Printf.sprintf
-                    "%s was checkpointed against a different trace; delete it \
-                     to start over" ckpt_path)
-         | Error m -> corrupt m)
-    else fresh ()
-  in
-  match eng with
-  | Error _ as e -> e
-  | Ok eng ->
-    let periods = Rt_trace.Trace.periods trace in
-    let total = List.length periods in
-    let skip = Eng.periods_fed eng in
-    if skip > total then
-      Error (Printf.sprintf
-               "%s claims %d periods processed but the trace has only %d"
-               ckpt_path skip total)
-    else begin
-      let write_ckpt () =
-        match Eng.checkpoint ~tag eng with
-        | Ok data ->
-          Slot.save ~bound ~source:tag
-            ~created_at:(Eng.periods_fed eng) ckpt data
-        | Error m -> Printf.eprintf "checkpoint failed: %s\n" m
-      in
-      let stopped = ref false in
-      (try
-         List.iteri (fun i p ->
-             if i >= skip && not !stopped then begin
-               Eng.feed eng p;
-               let done_ = i + 1 in
-               (match progress with
-                | Some n when done_ mod n = 0 || done_ = total ->
-                  Printf.eprintf "progress: %d/%d periods, %d hypotheses\n%!"
-                    done_ total (List.length (Eng.current eng))
-                | Some _ | None -> ());
-               if done_ mod every = 0 || done_ = total then write_ckpt ();
-               match stop_after with
-               | Some k when done_ - skip >= k -> stopped := true
-               | Some _ | None -> ()
-             end)
-           periods
-       with e -> write_ckpt (); raise e);
-      if !stopped then begin
-        write_ckpt ();
-        Eng.publish eng;
-        Printf.eprintf "stopped after %d periods (checkpoint in %s)\n"
-          (Eng.periods_fed eng) ckpt_path;
-        Ok None
-      end
-      else begin
-        (* Success: the checkpoint has served its purpose. *)
-        Slot.discard ckpt;
-        Ok (Some (Eng.snapshot eng, eng))
-      end
-    end
+  match ckpt with
+  | Slot.File p -> Slot.File (p ^ suffix)
+  | Slot.Ref (s, r) -> Slot.Ref (s, r ^ suffix)
 
-(* `--shards K --checkpoint`: shards are processed sequentially, each
-   snapshotting its engine pair (main + bound-1 companion) to
-   FILE.shard<i> / FILE.shard<i>.b1 every [every] periods. Tags bind
-   the trace digest, shard index, partition width and bound, so a
-   resume against different data or a different partition is refused
-   rather than silently wrong. All files are removed on success.
-   Returns [Ok None] when --stop-after cut the run short, otherwise
-   [Ok (Some model)] with the folded model option. *)
-let run_checkpointed_sharded ~obs ~flight ~progress ~window ~bound ~shards
-    ~every ~stop_after ~ckpt trace =
+(* The batch feed loop of `learn` — every batch run but the
+   uncheckpointed --shards one, which Shard.learn spreads over the -j
+   pool. The trace's periods form one range, or with [shards] the K
+   ranges of Shard.plan fed one after another, each into its own unit
+   (main engine plus, when a fold or store needs one, its bound-1
+   companion). The unsharded main engine is the run's engine: it alone
+   carries [obs] and the quarantine provenance.
+
+   With [ckpt], every engine snapshots to its unit_slot every [every]
+   periods of its range. Tags bind the (post-quarantine) trace digest —
+   plus shard index, partition width, bound and role for all but the
+   unsharded main slot — so a resume against different data or a
+   different partition is refused rather than silently wrong. A corrupt
+   slot, or a companion whose progress disagrees with its main engine
+   (a kill between the two dumps), restarts the unit fresh. [stop_after]
+   processes that many periods and exits — a deterministic stand-in for
+   getting killed, used by the tests. Returns [Ok None] when stopped,
+   otherwise the units, with every slot discarded. *)
+let feed_units ~obs ~flight ~progress ~window ~exact ~bound ~companion
+    ~shards ~every ~stop_after ~ckpt (q : Rt_trace.Quarantine.t) trace =
   let module Eng = Rt_engine.Engine in
-  let module S = Rt_shard.Shard in
-  let digest =
-    Digest.to_hex (Digest.string (Rt_trace.Trace_io.to_string trace))
-  in
+  let exception Refused of string in
+  let sharded = shards <> None in
   let periods = trace.Rt_trace.Trace.periods in
   let total = Array.length periods in
-  let ranges = S.plan ~shards ~periods:total in
+  let ranges =
+    match shards with
+    | None -> [| (0, total) |]
+    | Some shards -> Rt_shard.Shard.plan ~shards ~periods:total
+  in
   let k = Array.length ranges in
-  let ntasks = Rt_trace.Trace.task_count trace in
-  let tag i which = Printf.sprintf "%s+shard%d/%d+b%d+%s" digest i k bound which in
-  (* Per-shard slots: FILE.shard<i>[.b1] for files, ref/shard<i>[/b1]
-     generations for store-backed checkpoints. *)
-  let slot_of i which =
-    match ckpt with
-    | Slot.File p ->
-      Slot.File
-        (Printf.sprintf "%s.shard%d%s" p i
-           (if which = "b1" then ".b1" else ""))
-    | Slot.Ref (s, r) ->
-      Slot.Ref
-        ( s,
-          Printf.sprintf "%s/shard%d%s" r i
-            (if which = "b1" then "/b1" else "") )
+  let digest =
+    lazy (Digest.to_hex (Digest.string (Rt_trace.Trace_io.to_string trace)))
   in
-  let path_of i which = Slot.describe (slot_of i which) in
-  (* Resume an engine from its per-shard slot, or start fresh. *)
-  let engine_at i which engine_bound =
-    let slot = slot_of i which in
-    let path = path_of i which in
-    let corrupt m =
-      (* Same degradation as the unsharded path: a corrupt checkpoint
-         costs a relearn of this shard, never the run. *)
-      Printf.eprintf "warning: %s: %s; starting shard fresh\n" path m;
-      note_corrupt_checkpoint ~obs ~flight path (Printf.sprintf "%s: %s" path m);
-      Ok (Eng.create ?window ~ntasks (Eng.Heuristic { bound = engine_bound }))
+  let tag i = function
+    | Unit.Main when not sharded -> Lazy.force digest
+    | role ->
+      Printf.sprintf "%s+shard%d/%d+b%d+%s" (Lazy.force digest) i k bound
+        (match role with Unit.Main -> "main" | Unit.Companion -> "b1")
+  in
+  let slot ckpt i =
+    unit_slot ckpt ~shard:(if sharded then Some (string_of_int i) else None)
+  in
+  (* The unsharded main engine is the run's engine: it alone carries
+     [obs] and the quarantine provenance. *)
+  let run_engine role = role = Unit.Main && not sharded in
+  let fresh role build =
+    let e = build () in
+    if run_engine role then
+      Eng.set_provenance e ~dropped:(List.length q.dropped)
+        ~repaired:(List.length q.repaired);
+    e
+  in
+  let create ?(engine = fresh) () =
+    Unit.create ?window ?obs:(if sharded then None else obs) ~companion
+      ~engine ~ntasks:(Rt_trace.Trace.task_count trace)
+      (if exact then Eng.Exact { limit = None } else Eng.Heuristic { bound })
+  in
+  (* Resume each engine of unit [i] from its slot, or start it fresh. *)
+  let open_unit ckpt i =
+    let resume role build =
+      let s = slot ckpt i role in
+      let path = Slot.describe s in
+      let corrupt m =
+        (* Integrity damage (torn write, flipped bit): the checkpoint is
+           an optimization, not the data — warn and relearn rather than
+           dying on a recovery aid. A foreign tag still refuses: that
+           checkpoint parsed fine and points at operator error. *)
+        if sharded then
+          Printf.eprintf "warning: %s: %s; starting shard fresh\n" path m
+        else
+          Printf.eprintf
+            "warning: %s: %s; starting fresh (the corrupt checkpoint will \
+             be overwritten)\n" path m;
+        note_corrupt_checkpoint ~obs ~flight path
+          (Printf.sprintf "%s: %s" path m);
+        fresh role build
+      in
+      if not (Slot.exists s) then fresh role build
+      else
+        match Slot.load s with
+        | Error m -> corrupt m
+        | Ok data ->
+          (match Eng.resume ?obs:(if run_engine role then obs else None) data with
+           | Ok (e, t) when t = tag i role ->
+             if not sharded || Eng.periods_fed e > 0 then
+               Printf.eprintf "resumed %s: %d periods already processed\n"
+                 path (Eng.periods_fed e);
+             e
+           | Ok _ ->
+             raise (Refused (Printf.sprintf
+                               "%s was checkpointed against a different %s; \
+                                delete it to start over" path
+                               (if sharded then "trace or partition"
+                                else "trace")))
+           | Error m -> corrupt m)
     in
-    if Slot.exists slot then
-      match Slot.load slot with
-      | Error m -> corrupt m
-      | Ok data ->
-        (match Eng.resume data with
-         | Ok (eng, t) when t = tag i which ->
-           if Eng.periods_fed eng > 0 then
-             Printf.eprintf "resumed %s: %d periods already processed\n" path
-               (Eng.periods_fed eng);
-           Ok eng
-         | Ok _ ->
-           Error (Printf.sprintf
-                    "%s was checkpointed against a different trace or \
-                     partition; delete it to start over" path)
-         | Error m -> corrupt m)
-    else Ok (Eng.create ?window ~ntasks (Eng.Heuristic { bound = engine_bound }))
+    match create ~engine:resume () with
+    | exception Refused m -> Error m
+    | u ->
+      (match Unit.engines u with
+       | [ (_, main); (_, comp) ]
+         when Eng.periods_fed main <> Eng.periods_fed comp ->
+         (* Engines cannot rewind: relearn the unit from scratch. *)
+         Printf.eprintf
+           "warning: %s and its .b1 companion disagree on progress (%d vs \
+            %d); %s\n" (Slot.describe (slot ckpt i Unit.Main))
+           (Eng.periods_fed main) (Eng.periods_fed comp)
+           (if sharded then Printf.sprintf "restarting shard %d fresh" i
+            else "starting fresh");
+         Ok (create ())
+       | _ -> Ok u)
   in
-  let budget = ref (match stop_after with Some n -> n | None -> max_int) in
-  let stopped = ref false in
-  let done_total = ref 0 in
-  let finished = ref [] in
-  let rec shard_loop i =
-    if i >= k || !stopped then Ok ()
+  let save i u =
+    match ckpt with
+    | None -> ()
+    | Some ckpt ->
+      List.iter
+        (fun (role, e) ->
+           let tag = tag i role in
+           match Eng.checkpoint ~tag e with
+           | Ok data ->
+             Slot.save ~bound:(if role = Unit.Main then bound else 1)
+               ~source:tag ~created_at:(Eng.periods_fed e) (slot ckpt i role)
+               data
+           | Error m -> Printf.eprintf "checkpoint failed: %s\n" m)
+        (Unit.engines u)
+  in
+  let budget =
+    ref (match (ckpt, stop_after) with Some _, Some n -> n | _ -> max_int)
+  in
+  let done_total = ref 0 and stopped = ref false in
+  let rec loop i units =
+    if i >= k then Ok (Some (Array.of_list (List.rev units)))
     else
       let lo, hi = ranges.(i) in
-      match engine_at i "main" bound with
+      match
+        match ckpt with None -> Ok (create ()) | Some c -> open_unit c i
+      with
       | Error _ as e -> e
-      | Ok main ->
-        (match
-           if bound = 1 then Ok None
-           else Result.map Option.some (engine_at i "b1" 1)
-         with
-         | Error _ as e -> e
-         | Ok comp ->
-           let skip = Eng.periods_fed main in
-           let comp_skip =
-             match comp with Some c -> Eng.periods_fed c | None -> skip
-           in
-           if comp_skip <> skip then begin
-             (* A kill between the two dumps (main written, companion
-                not yet) leaves the pair one period apart; engines
-                cannot rewind, so relearn the shard from scratch. *)
-             Printf.eprintf
-               "warning: %s and its .b1 companion disagree on progress \
-                (%d vs %d); restarting shard %d fresh\n"
-               (path_of i "main") skip comp_skip i;
-             let main = Eng.create ?window ~ntasks (Eng.Heuristic { bound }) in
-             let comp =
-               if bound = 1 then None
-               else Some (Eng.create ?window ~ntasks (Eng.Heuristic { bound = 1 }))
-             in
-             run_shard i lo hi main comp
-           end
-           else if skip > hi - lo then
-             Error (Printf.sprintf
-                      "%s claims %d periods processed but shard %d has \
-                       only %d" (path_of i "main") skip i (hi - lo))
-           else run_shard i lo hi main comp)
-  and run_shard i lo hi main comp =
-    let skip = Eng.periods_fed main in
-    done_total := !done_total + skip;
-    let write_ckpt () =
-      let dump which eng =
-        match Eng.checkpoint ~tag:(tag i which) eng with
-        | Ok data ->
-          Slot.save ~bound:(if which = "b1" then 1 else bound)
-            ~source:(tag i which) ~created_at:(Eng.periods_fed eng)
-            (slot_of i which) data
-        | Error m -> Printf.eprintf "checkpoint failed: %s\n" m
-      in
-      dump "main" main;
-      Option.iter (dump "b1") comp
-    in
-    (try
-       for j = lo + skip to hi - 1 do
-         if not !stopped then begin
-           Eng.feed main periods.(j);
-           Option.iter (fun c -> Eng.feed c periods.(j)) comp;
-           incr done_total;
-           decr budget;
-           (match progress with
-            | Some n when !done_total mod n = 0 || !done_total = total ->
-              Printf.eprintf
-                "progress: %d/%d periods (shard %d), %d hypotheses\n%!"
-                !done_total total i (List.length (Eng.current main))
-            | Some _ | None -> ());
-           let fed = Eng.periods_fed main in
-           if fed mod every = 0 || fed = hi - lo then write_ckpt ();
-           if !budget <= 0 then stopped := true
-         end
-       done
-     with e -> write_ckpt (); raise e);
-    if Eng.periods_fed main < hi - lo then begin
-      write_ckpt ();
-      Ok ()  (* stopped mid-shard; the outer match reports it *)
-    end
-    else begin
-      finished := Option.value comp ~default:main :: !finished;
-      shard_loop (i + 1)
-    end
+      | Ok u ->
+        let main = Unit.main u in
+        let skip = Eng.periods_fed main in
+        if skip > hi - lo then
+          Error (Printf.sprintf "%s claims %d periods processed but %s only %d"
+                   (Slot.describe (slot (Option.get ckpt) i Unit.Main)) skip
+                   (if sharded then Printf.sprintf "shard %d has" i
+                    else "the trace has")
+                   (hi - lo))
+        else begin
+          done_total := !done_total + skip;
+          (try
+             for j = lo + skip to hi - 1 do
+               if not !stopped then begin
+                 Unit.feed u periods.(j);
+                 incr done_total;
+                 decr budget;
+                 (match progress with
+                  | Some n when !done_total mod n = 0 || !done_total = total ->
+                    Printf.eprintf "progress: %d/%d periods%s, %d hypotheses\n%!"
+                      !done_total total
+                      (if sharded then Printf.sprintf " (shard %d)" i else "")
+                      (List.length (Eng.current main))
+                  | Some _ | None -> ());
+                 let fed = Eng.periods_fed main in
+                 if fed mod every = 0 || fed = hi - lo then save i u;
+                 if !budget <= 0 then stopped := true
+               end
+             done
+           with e -> save i u; raise e);
+          if not !stopped then loop (i + 1) (u :: units)
+          else begin
+            (* Stopped. A shard that ended on its range end was just
+               dumped by the cadence; the unsharded run dumps again
+               regardless, and in a store-backed slot every dump is a
+               generation, so the two shapes keep their own rule. *)
+            if (not sharded) || Eng.periods_fed main < hi - lo then save i u;
+            Eng.publish main;
+            let ckpt = Option.get ckpt in
+            Printf.eprintf "stopped after %d periods (%s in %s)\n" !done_total
+              (if sharded then "checkpoints" else "checkpoint")
+              (Slot.describe
+                 (unit_slot ckpt ~shard:(if sharded then Some "*" else None)
+                    Unit.Main));
+            Ok None
+          end
+        end
   in
-  match shard_loop 0 with
-  | Error _ as e -> e
-  | Ok () ->
-    if !stopped then begin
-      Printf.eprintf "stopped after %d periods (checkpoints in %s.shard*)\n"
-        !done_total (Slot.describe ckpt);
-      Ok None
-    end
-    else begin
-      let companions = Array.of_list (List.rev !finished) in
-      let parts =
-        Array.map
-          (fun e -> (S.summary_of e, Option.get (Eng.violations e)))
-          companions
-      in
-      let model = S.fold_summaries parts in
-      (* Success: the checkpoints have served their purpose. *)
-      for i = 0 to k - 1 do
-        Slot.discard (slot_of i "main");
-        Slot.discard (slot_of i "b1")
-      done;
-      Ok (Some (model, parts))
-    end
+  let result = loop 0 [] in
+  (match (result, ckpt) with
+   | Ok (Some _), Some c ->
+     (* Success: the checkpoints have served their purpose. *)
+     for i = 0 to k - 1 do
+       Slot.discard (slot c i Unit.Main);
+       Slot.discard (slot c i Unit.Companion)
+     done
+   | _ -> ());
+  result
 
 (* Write the registry's sinks. Atomic writes: a run killed mid-dump never
    leaves a truncated JSON document behind. The profiler sinks go to
@@ -558,10 +499,6 @@ let store_commit ~store ~ref_ ~names ~bound ~source ~created_at ?answers
       (Ok []) companion_refs
   in
   let parents = List.rev parents in
-  if parents = [] then
-    Printf.eprintf
-      "note: no bound-1 companion produced; %s is committed without the \
-       fleet-merge interchange\n" ref_;
   let* () =
     match answers with
     | None | Some [] -> Ok ()
@@ -580,6 +517,53 @@ let store_commit ~store ~ref_ ~names ~bound ~source ~created_at ?answers
   Printf.eprintf "stored %s//%s@%d %s (%d companion part(s))\n"
     (Store.root s) ref_ e.Store.gen e.Store.address (List.length parents);
   Ok ()
+
+(* The tail every `learn` path shares: print the answer set
+   ([`Answers]) or the folded model ([`Folded]), then, with --store,
+   commit it together with the run's bound-1 [parts]. Committing after
+   rendering means stdout and -o carry the model either way, and a
+   store failure surfaces as an input error without un-printing
+   anything. *)
+let render_and_commit ~names ~dot ~output ~store ~store_ref ~bound ~source
+    ~created_at ~parts learned =
+  let code, answers, model =
+    match learned with
+    | `Answers hs ->
+      ( render_model ~names ~dot ~output hs,
+        Some hs,
+        match hs with [] -> None | hs -> Some (Rt_lattice.Depfun.lub hs) )
+    | `Folded model -> (render_folded ~names ~dot ~output model, None, model)
+  in
+  match (store, model) with
+  | Some dir, Some model when code = Ec.ok ->
+    (match
+       store_commit ~store:dir ~ref_:store_ref ~names ~bound ~source
+         ~created_at ?answers ~parts:(Lazy.force parts) model
+     with
+     | Ok () -> Ec.ok
+     | Error m -> err ("store: " ^ m))
+  | _ -> code
+
+(* What a finished run of [units] learned, with its counters published
+   before the sinks are written: the one unit's answer set when
+   unsharded, else the fold of the units' [parts]. Sharded units here
+   all ran on this domain — the streamed round-robin units and
+   checkpointed shards — so shard.jobs is 1. *)
+let conclude obs ~sharded units parts =
+  if not sharded then
+    `Answers (Rt_engine.Engine.finalize (Unit.main units.(0))).hypotheses
+  else begin
+    (match obs with
+     | None -> ()
+     | Some r ->
+       let set = Rt_obs.Registry.set_counter r in
+       let sum f = Array.fold_left (fun a u -> a + f (Unit.main u)) 0 units in
+       set "shard.shards" (Array.length units);
+       set "shard.periods" (sum Rt_engine.Engine.periods_fed);
+       set "shard.messages" (sum Rt_engine.Engine.messages_fed);
+       set "shard.jobs" 1);
+    `Folded (Rt_shard.Shard.fold_summaries (Lazy.force parts))
+  end
 
 let blowup_msg set_size limit =
   Printf.sprintf
@@ -609,54 +593,24 @@ let learn_stream ~exact ~shards ~bound ~window ~obs ~mode ~eps ~progress
            Rt_trace.Stream_io.create ~mode ~eps ?window
              (Rt_trace.Stream_io.lines_of_channel ic)
          in
-         let alg =
-           if exact then Eng.Exact { limit = None }
-           else Eng.Heuristic { bound }
-         in
-         (* One engine, or — with --shards K — K round-robin units
-            (engine pairs) folded at end of stream. The sharded
-            units are private and obs-free; shard.* counters are
-            published from this domain instead. *)
+         (* K round-robin units folded at end of stream with --shards K,
+            else one unit whose main engine is the run's engine: only
+            it carries obs and --exact. Sharded units are private and
+            obs-free; shard.* counters are published from this domain
+            instead. *)
          let core = ref None in
          let core_of ts =
            match !core with
            | Some c -> c
            | None ->
-             let ntasks = Rt_task.Task_set.size ts in
              let c =
-               match shards with
-               | Some k ->
-                 `Sharded
-                   (SStream.create ?window ~ntasks ~bound ~shards:k ())
-               | None ->
-                 (* With --store, run a bound-1 companion alongside:
-                    its pre-weaken matrix is the fleet-merge
-                    interchange this process publishes. At bound 1
-                    the main engine is its own companion. *)
-                 let comp =
-                   if store <> None && not exact && bound > 1 then
-                     Some (Eng.create ?window ~ntasks
-                             (Eng.Heuristic { bound = 1 }))
-                   else None
-                 in
-                 `Single (Eng.create ?window ?obs ~ntasks alg, comp)
+               SStream.create ?window
+                 ?obs:(if shards = None then obs else None)
+                 ~companion:(shards <> None || store <> None) ~exact
+                 ~ntasks:(Rt_task.Task_set.size ts) ~bound
+                 ~shards:(Option.value shards ~default:1) ()
              in
              core := Some c; c
-         in
-         let feed_core c p =
-           match c with
-           | `Single (e, comp) ->
-             Eng.feed e p;
-             Option.iter (fun c -> Eng.feed c p) comp
-           | `Sharded s -> SStream.feed s p
-         in
-         let periods_fed_core = function
-           | `Single (e, _) -> Eng.periods_fed e
-           | `Sharded s -> SStream.periods_fed s
-         in
-         let hypotheses_core = function
-           | `Single (e, _) -> List.length (Eng.current e)
-           | `Sharded s -> SStream.hypotheses s
          in
          let rec pump () =
            match Rt_trace.Stream_io.next parser with
@@ -667,11 +621,11 @@ let learn_stream ~exact ~shards ~bound ~window ~obs ~mode ~eps ~progress
              let c =
                core_of (Option.get (Rt_trace.Stream_io.task_set parser))
              in
-             feed_core c p;
+             SStream.feed c p;
              (match progress with
-              | Some n when periods_fed_core c mod n = 0 ->
+              | Some n when SStream.periods_fed c mod n = 0 ->
                 Printf.eprintf "progress: %d periods, %d hypotheses\n%!"
-                  (periods_fed_core c) (hypotheses_core c)
+                  (SStream.periods_fed c) (SStream.hypotheses c)
               | Some _ | None -> ());
              pump ()
          in
@@ -689,69 +643,26 @@ let learn_stream ~exact ~shards ~bound ~window ~obs ~mode ~eps ~progress
            if mode = `Recover then
              prerr_endline (Rt_trace.Quarantine.summary q);
            match !core with
-           | Some c when periods_fed_core c > 0 ->
-             let names =
-               Rt_task.Task_set.names
-                 (Option.get (Rt_trace.Stream_io.task_set parser))
-             in
-             let commit ~parts ?answers model =
-               match store with
-               | None -> Ec.ok
-               | Some dir ->
-                 (match
-                    store_commit ~store:dir ~ref_:store_ref ~names ~bound
-                      ~source:path ~created_at:(periods_fed_core c)
-                      ?answers ~parts model
-                  with
-                  | Ok () -> Ec.ok
-                  | Error m -> err ("store: " ^ m))
-             in
-             (match c with
-              | `Single (e, comp) ->
-                Eng.set_provenance e
-                  ~dropped:(List.length q.Rt_trace.Quarantine.dropped)
-                  ~repaired:(List.length q.Rt_trace.Quarantine.repaired);
-                let parts =
-                  match Eng.violations e with
-                  | Some v when not exact ->
-                    [| (Rt_shard.Shard.summary_of
-                          (Option.value comp ~default:e), v) |]
-                  | Some _ | None -> [||]
-                in
-                let snap = Eng.finalize e in
-                write_sinks ~metrics ~trace_events obs;
-                let code =
-                  render_model ~names ~dot ~output snap.Eng.hypotheses
-                in
-                (match snap.Eng.lub with
-                 | Some model when code = Ec.ok ->
-                   Ec.combine code
-                     (commit ~parts ~answers:snap.Eng.hypotheses model)
-                 | Some _ | None -> code)
-              | `Sharded s ->
-                (match obs with
-                 | Some r ->
-                   let set = Rt_obs.Registry.set_counter r in
-                   set "shard.shards" (SStream.shards s);
-                   set "shard.periods" (SStream.periods_fed s);
-                   set "shard.messages" (SStream.messages_fed s);
-                   (* the round-robin units all run on this domain *)
-                   set "shard.jobs" 1
-                 | None -> ());
-                write_sinks ~metrics ~trace_events obs;
-                let folded = SStream.fold s in
-                let code = render_folded ~names ~dot ~output folded in
-                (match folded with
-                 | Some model when code = Ec.ok ->
-                   Ec.combine code (commit ~parts:(SStream.parts s) model)
-                 | Some _ | None -> code))
+           | Some c when SStream.periods_fed c > 0 ->
+             let units = SStream.units c and parts = lazy (SStream.parts c) in
+             if shards = None then
+               Eng.set_provenance (Unit.main units.(0))
+                 ~dropped:(List.length q.Rt_trace.Quarantine.dropped)
+                 ~repaired:(List.length q.Rt_trace.Quarantine.repaired);
+             let learned = conclude obs ~sharded:(shards <> None) units parts in
+             write_sinks ~metrics ~trace_events obs;
+             render_and_commit
+               ~names:
+                 (Rt_task.Task_set.names
+                    (Option.get (Rt_trace.Stream_io.task_set parser)))
+               ~dot ~output ~store ~store_ref ~bound ~source:path
+               ~created_at:(SStream.periods_fed c) ~parts learned
            | Some _ | None ->
              err ("no usable periods after quarantine"))
 
 let learn path exact auto stream shards bound window jobs dot output mode eps
     checkpoint every stop_after store store_ref flight_out metrics
     trace_events profile folded progress =
-  let module Eng = Rt_engine.Engine in
   let obs =
     if metrics <> None || trace_events <> None || profile || folded <> None
     then Some (Rt_obs.Registry.create ())
@@ -819,21 +730,9 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
         err ("no usable periods after quarantine")
       | Ok (trace, q) ->
         let names = Rt_task.Task_set.names trace.task_set in
-        (* Commit to the store after rendering: stdout and -o carry the
-           model either way, and a store failure surfaces as an input
-           error without un-printing anything. *)
-        let commit ~parts ?answers model =
-          match store with
-          | None -> Ec.ok
-          | Some dir ->
-            (match
-               store_commit ~store:dir ~ref_:store_ref ~names ~bound
-                 ~source:path
-                 ~created_at:(Rt_trace.Trace.period_count trace)
-                 ?answers ~parts model
-             with
-             | Ok () -> Ec.ok
-             | Error m -> err ("store: " ^ m))
+        let render_and_commit =
+          render_and_commit ~names ~dot ~output ~store ~store_ref ~bound
+            ~source:path ~created_at:(Rt_trace.Trace.period_count trace)
         in
         if auto then begin
           let report, chosen = Rt_engine.Learner.auto ?window ?obs trace in
@@ -849,28 +748,9 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
           render_model ~names ~dot ~output
             report.Rt_engine.Learner.hypotheses
         end
-        else if shards <> None then begin
-          let shards = Option.get shards in
-          let render_and_commit ~parts model =
-            let code = render_folded ~names ~dot ~output model in
-            match model with
-            | Some m when code = Ec.ok -> Ec.combine code (commit ~parts m)
-            | Some _ | None -> code
-          in
-          match checkpoint with
-          | Some ckpt ->
-            (match
-               run_checkpointed_sharded ~obs ~flight ~progress ~window ~bound
-                 ~shards ~every ~stop_after ~ckpt trace
-             with
-             | Error m -> write_sinks ~metrics ~trace_events obs; err m
-             | Ok None ->
-               write_sinks ~metrics ~trace_events obs;
-               Ec.ok  (* --stop-after: checkpoints written *)
-             | Ok (Some (model, parts)) ->
-               write_sinks ~metrics ~trace_events obs;
-               render_and_commit ~parts model)
-          | None ->
+        else
+          match (shards, checkpoint) with
+          | Some shards, None ->
             (* -j sizes the pool the shards run on; jobs <= 1 keeps
                them on this domain. The model is the same for every N. *)
             let out =
@@ -898,88 +778,31 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
              | None -> ());
             write_sinks ~metrics ~trace_events obs;
             render_and_commit
-              ~parts:(Array.map
-                        (fun (r : Rt_shard.Shard.result) ->
-                           (r.summary, r.violations))
-                        out.shards)
-              out.model
-        end
-        else
-          (* Single-engine tail: the answer set plus the bound-1
-             companion part this process would publish to a store. *)
-          let parts_of ~main ~companion =
-            match Eng.violations main with
-            | Some v ->
-              [| (Rt_shard.Shard.summary_of
-                    (Option.value companion ~default:main), v) |]
-            | None -> [||]
-          in
-          let result =
-            match checkpoint with
-            | Some ckpt ->
-              (match
-                 run_checkpointed ~obs ~flight ~progress ~window ~bound
-                   ~every ~stop_after ~ckpt q trace
-               with
-               | Error _ as e -> e
-               | Ok None -> Ok None
-               | Ok (Some (s, eng)) ->
-                 (* The checkpointed path runs one engine; only at bound
-                    1 is it its own exact companion. *)
-                 let parts =
-                   if bound = 1 then parts_of ~main:eng ~companion:None
-                   else [||]
-                 in
-                 Ok (Some (s.Rt_engine.Engine.hypotheses, parts)))
-            | None ->
-              let alg =
-                if exact then Eng.Exact { limit = None }
-                else Eng.Heuristic { bound }
-              in
-              let ntasks = Rt_trace.Trace.task_count trace in
-              let eng = Eng.create ?window ?obs ~ntasks alg in
-              let companion =
-                if store <> None && not exact && bound > 1 then
-                  Some (Eng.create ?window ~ntasks
-                          (Eng.Heuristic { bound = 1 }))
-                else None
-              in
-              Eng.set_provenance eng
-                ~dropped:(List.length q.dropped)
-                ~repaired:(List.length q.repaired);
-              let periods = Rt_trace.Trace.periods trace in
-              let total = List.length periods in
+              ~parts:(lazy (Array.map
+                              (fun (r : Rt_shard.Shard.result) ->
+                                 (r.summary, r.violations))
+                              out.shards))
+              (`Folded out.model)
+          | _, ckpt ->
+            let result =
               match
-                List.iteri (fun i p ->
-                    Eng.feed eng p;
-                    Option.iter (fun c -> Eng.feed c p) companion;
-                    match progress with
-                    | Some n when (i + 1) mod n = 0 || i + 1 = total ->
-                      Printf.eprintf
-                        "progress: %d/%d periods, %d hypotheses\n%!"
-                        (i + 1) total (List.length (Eng.current eng))
-                    | Some _ | None -> ())
-                  periods
+                feed_units ~obs ~flight ~progress ~window ~exact ~bound
+                  ~companion:(shards <> None || store <> None) ~shards ~every
+                  ~stop_after ~ckpt q trace
               with
-              | () ->
-                let parts =
-                  if exact then [||] else parts_of ~main:eng ~companion
-                in
-                Ok (Some ((Eng.finalize eng).Eng.hypotheses, parts))
+              | Ok (Some units) ->
+                let parts = lazy (Array.map Unit.part units) in
+                Ok (Some (parts, conclude obs ~sharded:(shards <> None)
+                                   units parts))
+              | (Error _ | Ok None) as r -> r
               | exception Rt_learn.Exact.Blowup { set_size; limit; _ } ->
                 Error (blowup_msg set_size limit)
-          in
-          write_sinks ~metrics ~trace_events obs;
-          (match result with
-           | Error m -> err (m)
-           | Ok None -> Ec.ok  (* --stop-after: checkpoint written *)
-           | Ok (Some (hs, parts)) ->
-             let code = render_model ~names ~dot ~output hs in
-             (match hs with
-              | _ :: _ when code = Ec.ok ->
-                Ec.combine code
-                  (commit ~parts ~answers:hs (Rt_lattice.Depfun.lub hs))
-              | _ -> code))
+            in
+            write_sinks ~metrics ~trace_events obs;
+            (match result with
+             | Error m -> err m
+             | Ok None -> Ec.ok  (* --stop-after: checkpoints written *)
+             | Ok (Some (parts, learned)) -> render_and_commit ~parts learned)
     end
   in
   let code = run () in

@@ -19,10 +19,11 @@
     that depends only on the period itself. Joins commute, so any
     partition — contiguous or not — accumulates the same matrix.
 
-    Each shard therefore runs {e two} engines over its range: the main
-    engine at the user's bound (the expensive work being parallelized;
-    its version space is reported per shard) and a cheap bound-1
-    companion whose single matrix is the shard's fold contribution.
+    Each shard therefore runs a {!Unit} — {e two} engines over its
+    range: the main engine at the user's bound (the expensive work
+    being parallelized; its version space is reported per shard) and a
+    cheap bound-1 companion whose single matrix is the shard's fold
+    contribution.
 
     The fold is not a plain pointwise join of the companions either.
     Each shard weakens against only the violations {e it} observed; the
@@ -79,6 +80,42 @@ val summary_of : Rt_engine.Engine.t -> Rt_lattice.Depfun.t option
     (inconsistent input). This is the matrix a bound-1 companion
     publishes to a store as its fleet-merge interchange. *)
 
+(** A main engine plus its optional bound-1 companion — the one place
+    that pairing is built. Every learner whose run may be folded or
+    committed to a store ([Shard.learn]'s workers, {!Stream}'s units,
+    and [rtgen learn]'s batch feed loop, sharded or not) runs one unit
+    per period range. *)
+module Unit : sig
+  type t
+
+  type role = Main | Companion
+
+  val create :
+    ?window:int -> ?obs:Rt_obs.Registry.t -> ?companion:bool ->
+    ?engine:(role -> (unit -> Rt_engine.Engine.t) -> Rt_engine.Engine.t) ->
+    ntasks:int -> Rt_engine.Engine.algorithm -> t
+  (** A main engine running [algorithm], attached to [obs], and — when
+      [companion] (default [true]) holds and [algorithm] is the
+      heuristic above bound 1 — a bound-1 companion fed the same
+      periods. Otherwise the main engine stands in for the companion,
+      which is exact at bound 1. [engine role fresh] supplies each engine,
+      main first; [fresh ()] builds a new one, and is the default. A
+      checkpointing driver returns a resumed engine instead. *)
+
+  val feed : t -> Rt_trace.Period.t -> unit
+
+  val main : t -> Rt_engine.Engine.t
+
+  val engines : t -> (role * Rt_engine.Engine.t) list
+  (** The unit's engines, main first — what a driver checkpoints. *)
+
+  val part : t -> Rt_lattice.Depfun.t option * bool array array
+  (** The unit's [(companion summary, violation matrix)] pair: its fold
+      contribution, and what a per-process learner publishes to a
+      store for a later cross-process {!fold_summaries}.
+      @raise Invalid_argument on an exact-core unit. *)
+end
+
 val fold_summaries :
   (Rt_lattice.Depfun.t option * bool array array) array ->
   Rt_lattice.Depfun.t option
@@ -128,27 +165,28 @@ val learn :
     are published — all recorded on the calling domain only.
     @raise Invalid_argument when [shards < 1] or [bound < 1]. *)
 
-(** Round-robin sharded engine units for [--stream --shards K]: feed
-    periods as they arrive, fold at end of stream. The fold is the
-    same exchange-law fold as {!learn} — companion deltas commute, so
-    the non-contiguous round-robin partition folds just as exactly. *)
+(** Round-robin units for [learn --stream]: feed periods as they
+    arrive, fold at end of stream. The fold is the same exchange-law
+    fold as {!learn} — companion deltas commute, so the non-contiguous
+    round-robin partition folds just as exactly. With one unit this is
+    the unsharded streaming learner. *)
 module Stream : sig
   type t
 
   val create :
-    ?window:int -> ntasks:int -> bound:int -> shards:int -> unit -> t
-  (** [shards] units, each a main engine at [bound] plus its bound-1
-      companion (shared when [bound = 1]).
+    ?window:int -> ?obs:Rt_obs.Registry.t -> ?companion:bool ->
+    ?exact:bool -> ntasks:int -> bound:int -> shards:int -> unit -> t
+  (** [shards] units ({!Unit.create}) at [bound], or running the exact
+      algorithm with [exact]. [obs] attaches every unit's main engine,
+      so it is meant for [shards = 1].
       @raise Invalid_argument when [shards < 1] or [bound < 1]. *)
 
-  val shards : t -> int
+  val units : t -> Unit.t array
 
   val feed : t -> Rt_trace.Period.t -> unit
   (** Feed one period to the next unit in round-robin order. *)
 
   val periods_fed : t -> int
-
-  val messages_fed : t -> int
 
   val hypotheses : t -> int
   (** Total hypotheses across the units' main engines (a progress
@@ -156,9 +194,7 @@ module Stream : sig
       comparable across partitions). *)
 
   val parts : t -> (Rt_lattice.Depfun.t option * bool array array) array
-  (** Each unit's [(companion summary, violation matrix)] pair — what
-      a per-process learner publishes to a store for a later
-      cross-process {!fold_summaries}. *)
+  (** Each unit's {!Unit.part}. *)
 
   val fold : t -> Rt_lattice.Depfun.t option
   (** The folded model; [None] iff some unit saw an inconsistent
