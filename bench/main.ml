@@ -116,28 +116,23 @@ type table1_row = {
   survivors : int;
 }
 
-(* The smallest bound at which the O(log b) workset beats the seed's O(b)
-   sorted list. Below it the asymmetry is expected, not a regression: the
-   array working set pays fixed per-insertion overhead (heap bookkeeping,
-   canonical-order maintenance) that only amortizes once b is large
-   enough for the seed's linear scans to dominate. *)
-let crossover_bound rows =
-  List.find_map
-    (fun r -> if r.workset_s < r.legacy_s then Some r.bound else None)
-    (List.sort (fun a b -> Int.compare a.bound b.bound) rows)
-
 let bench_table1 trace =
   section "Table 1: heuristic runtime vs bound (paper's only table)";
   Printf.printf "workload: %s\n"
     (Format.asprintf "%a" Rt_trace.Trace.pp_summary trace);
   if jobs > 1 then
     Printf.printf "bound sweep on %d domains (RTGEN_BENCH_JOBS)\n" jobs;
-  let bounds = if fast_mode then [ 1; 4; 16; 32 ] else List.map fst paper_table1 in
+  (* Fast mode keeps bound 64 so the equality assertion below also runs
+     where the set is wide and merging is heavy. *)
+  let bounds =
+    if fast_mode then [ 1; 4; 16; 32; 64 ] else List.map fst paper_table1
+  in
   let measure bound =
     let o, dt = wall (fun () -> Rt_learn.Heuristic.run ~bound trace) in
     let ol, dtl = wall (fun () -> Rt_learn.Reference.run ~bound trace) in
     assert (List.for_all2 Df.equal o.Rt_learn.Heuristic.hypotheses
               ol.Rt_learn.Heuristic.hypotheses);
+    assert (o.Rt_learn.Heuristic.stats = ol.Rt_learn.Heuristic.stats);
     { bound; workset_s = dt; legacy_s = dtl;
       merges = o.Rt_learn.Heuristic.stats.merges;
       survivors = List.length o.Rt_learn.Heuristic.hypotheses }
@@ -176,15 +171,7 @@ let bench_table1 trace =
   print_endline
     "head-to-head: both columns share the byte-matrix kernels; the speedup\n\
      column isolates the working-set data structure (O(log b) array vs the\n\
-     seed's O(b) sorted list). Results are asserted identical.";
-  (match crossover_bound data with
-   | Some b ->
-     Printf.printf
-       "crossover: workset wins from bound %d up; below it the seed list's\n\
-        lower constant factors win (expected, see EXPERIMENTS.md).\n" b
-   | None ->
-     print_endline
-       "crossover: the workset never beat the seed list in this sweep.");
+     seed's O(b) sorted list). Models and stats are asserted identical.";
   print_endline "shape check: runtime grows monotonically and low-polynomially in the bound.";
   (* The bechamel-sampled variant for the fast bounds. *)
   let open Bechamel in
@@ -324,10 +311,6 @@ let emit_json path trace rows sharded recorder =
     (Format.asprintf "%a" Rt_trace.Trace.pp_summary trace);
   out "  \"jobs\": %d,\n" jobs;
   out "  \"fast_mode\": %b,\n" fast_mode;
-  out "  \"crossover_bound\": %s,\n"
-    (match crossover_bound rows with
-     | Some b -> string_of_int b
-     | None -> "null");
   out
     "  \"sharded\": { \"bound\": %d, \"jobs\": %d, \
      \"monolithic_seconds\": %.6f, \"runs\": [ %s ] },\n"
@@ -356,8 +339,8 @@ let emit_json path trace rows sharded recorder =
   Printf.printf "wrote %s\n" path
 
 (* The same sweep through the Rt_obs sinks: both implementations' wall
-   times as histograms plus the crossover gauge, in the schema `rtgen
-   report` renders. Written next to the raw JSON ("*.metrics.json"). *)
+   times as histograms, in the schema `rtgen report` renders. Written
+   next to the raw JSON ("*.metrics.json"). *)
 let emit_metrics path rows sharded =
   let reg = Rt_obs.Registry.create () in
   let hw = Rt_obs.Registry.histogram reg "bench.workset_us" in
@@ -374,9 +357,6 @@ let emit_metrics path rows sharded =
   List.iter
     (fun r -> Rt_obs.Histogram.record hs (int_of_float (r.sharded_s *. 1e6)))
     sharded.runs;
-  (match crossover_bound rows with
-   | Some b -> Rt_obs.Registry.set_gauge_named reg "bench.crossover_bound" b
-   | None -> ());
   Rt_util.Atomic_file.write path
     (Rt_obs.Json.to_string ~pretty:true (Rt_obs.Registry.to_json reg));
   Printf.printf "wrote %s\n" path

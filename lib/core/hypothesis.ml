@@ -176,8 +176,6 @@ let compare h1 h2 = Df.compare h1.dep h2.dep
 
 let hash h = h.hash
 
-let a_hash h = h.a_hash
-
 let compare_assumption (a1, b1) (a2, b2) =
   let c = Int.compare a1 a2 in
   if c <> 0 then c else Int.compare b1 b2

@@ -67,11 +67,6 @@ val hash : t -> int
 (** Structural hash of the matrix (assumptions excluded), maintained
     incrementally. Equal hypotheses have equal hashes. *)
 
-val a_hash : t -> int
-(** Order-independent hash of the assumption set, maintained
-    incrementally; 0 when no assumptions are recorded. [(hash, a_hash)]
-    keys the working set's deduplication index. *)
-
 val leq : t -> t -> bool
 (** [⊑_D] on the underlying dependency functions. *)
 

@@ -1,81 +1,40 @@
 type victim_policy = Lightest_pair | Heaviest_pair | First_last
 
 (* Canonical ascending order: weight first, then the structural order.
-   Total on distinct hypotheses ([compare_full] = 0 only for duplicates,
-   which [insert] rejects). *)
+   Total on distinct hypotheses: [compare_full] = 0 only for duplicates,
+   so the binary search that finds a slot also finds a duplicate. *)
 let canonical h h' =
   let c = Int.compare (Hypothesis.weight h) (Hypothesis.weight h') in
   if c <> 0 then c else Hypothesis.compare_full h h'
 
-(* Below this bound the array-plus-index machinery loses to a plain
-   sorted list: the hash index, binary search and blits only pay for
-   themselves once the set is big enough, and BENCH_heuristic.json puts
-   the measured break-even at bound 64 on the reference workload. *)
-let crossover_bound = 64
-
-type repr = Array_repr | List_repr
-
 type t = {
   bound : int;
-  repr : repr;
-  (* Array representation: sorted descending under [canonical], so the
-     default eviction (lightest pair) is a pop off the end. Empty until
-     the first insertion (OCaml arrays need a witness element). *)
+  (* Sorted descending under [canonical], so the default eviction
+     (lightest pair) is a pop off the end. Empty until the first
+     insertion (OCaml arrays need a witness element). *)
   mutable data : Hypothesis.t array;
   mutable len : int;
-  (* (hash, a_hash) -> hypotheses with those cached hashes. Buckets are
-     almost always singletons; [compare_full] resolves true collisions. *)
-  index : (int * int, Hypothesis.t list) Hashtbl.t;
-  (* List representation: sorted ascending under [canonical] — the seed
-     layout, selected below [crossover_bound]. [len] tracks both. *)
-  mutable items : Hypothesis.t list;
 }
 
-let make repr ~bound =
-  { bound; repr; data = [||]; len = 0;
-    index = Hashtbl.create (2 * (bound + 1)); items = [] }
-
-let create_with ~repr ~bound =
-  make (match repr with `Array -> Array_repr | `List -> List_repr) ~bound
-
-let create ~bound =
-  make (if bound < crossover_bound then List_repr else Array_repr) ~bound
-
-let uses_list_repr t = t.repr = List_repr
+let create ~bound = { bound; data = [||]; len = 0 }
 
 let length t = t.len
 
-let clear t =
-  t.len <- 0;
-  match t.repr with
-  | List_repr -> t.items <- []
-  | Array_repr -> Hashtbl.reset t.index
+let clear t = t.len <- 0
 
-let key h = (Hypothesis.hash h, Hypothesis.a_hash h)
+(* Binary search of [data.(lo) .. data.(hi - 1)] (descending): the index
+   of [h] if present, otherwise [-1 - slot], where [slot] is the smallest
+   index whose element is canonically below [h]. *)
+let rec search data h lo hi =
+  if lo >= hi then -1 - lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = canonical data.(mid) h in
+    if c = 0 then mid
+    else if c > 0 then search data h (mid + 1) hi
+    else search data h lo mid
 
-let rec mem_list h = function
-  | [] -> false
-  | h' :: tl ->
-    let c = canonical h h' in
-    c = 0 || (c > 0 && mem_list h tl)
-
-let mem t h =
-  match t.repr with
-  | List_repr -> mem_list h t.items
-  | Array_repr ->
-    (match Hashtbl.find_opt t.index (key h) with
-     | None -> false
-     | Some bucket ->
-       List.exists (fun h' -> Hypothesis.compare_full h h' = 0) bucket)
-
-let index_remove t h =
-  let k = key h in
-  match Hashtbl.find_opt t.index k with
-  | None -> ()
-  | Some bucket ->
-    (match List.filter (fun h' -> h' != h) bucket with
-     | [] -> Hashtbl.remove t.index k
-     | rest -> Hashtbl.replace t.index k rest)
+let mem t h = search t.data h 0 t.len >= 0
 
 let ensure_capacity t h =
   let cap = Array.length t.data in
@@ -86,141 +45,45 @@ let ensure_capacity t h =
     t.data <- nd
   end
 
-exception Duplicate
-
-(* Sorted insertion, one pass for both the dedup test and the slot —
-   exactly the seed's list discipline. *)
-let rec ins_list h = function
-  | [] -> [ h ]
-  | h' :: tl as l ->
-    let c = canonical h h' in
-    if c = 0 then raise Duplicate
-    else if c < 0 then h :: l
-    else h' :: ins_list h tl
-
-(* Dedup check and index update share one bucket lookup — [add] is on
-   the per-child hot path of the learner. *)
+(* One search is both the dedup test and the slot. The shift is a loop,
+   not [Array.blit]: at small bounds it moves a slot or two, and the loop
+   saves a C call on the learner's per-child hot path. *)
 let add t h =
-  match t.repr with
-  | List_repr ->
-    (match ins_list h t.items with
-     | items ->
-       t.items <- items;
-       t.len <- t.len + 1;
-       true
-     | exception Duplicate -> false)
-  | Array_repr ->
-    let k = key h in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt t.index k) in
-    if List.exists (fun h' -> Hypothesis.compare_full h h' = 0) bucket then
-      false
-    else begin
-      ensure_capacity t h;
-      (* Binary search in the descending array: smallest index whose
-         element is canonically below [h]. *)
-      let lo = ref 0 and hi = ref t.len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if canonical t.data.(mid) h > 0 then lo := mid + 1 else hi := mid
-      done;
-      let pos = !lo in
-      Array.blit t.data pos t.data (pos + 1) (t.len - pos);
-      t.data.(pos) <- h;
-      t.len <- t.len + 1;
-      Hashtbl.replace t.index k (h :: bucket);
-      true
-    end
+  let i = search t.data h 0 t.len in
+  if i >= 0 then false
+  else begin
+    let pos = -1 - i in
+    ensure_capacity t h;
+    let d = t.data in
+    for j = t.len downto pos + 1 do d.(j) <- d.(j - 1) done;
+    d.(pos) <- h;
+    t.len <- t.len + 1;
+    true
+  end
 
 let insert t h =
   if not (add t h) then invalid_arg "Workset.insert: duplicate hypothesis"
 
 let extract_pair t policy =
   if t.len < 2 then invalid_arg "Workset.extract_pair: fewer than 2 elements";
-  match t.repr with
-  | List_repr ->
-    t.len <- t.len - 2;
-    (match policy with
-     | Lightest_pair ->
-       (match t.items with
-        | a :: b :: rest ->
-          t.items <- rest;
-          (a, b)
-        | _ -> assert false)
-     | Heaviest_pair ->
-       (match List.rev t.items with
-        | a :: b :: rest ->
-          t.items <- List.rev rest;
-          (a, b)
-        | _ -> assert false)
-     | First_last ->
-       (match t.items with
-        | a :: rest ->
-          (match List.rev rest with
-           | z :: mid ->
-             t.items <- List.rev mid;
-             (a, z)
-           | [] -> assert false)
-        | [] -> assert false))
-  | Array_repr ->
-    let a, b =
-      match policy with
-      | Lightest_pair ->
-        (* Last two slots; no shifting. *)
-        let a = t.data.(t.len - 1) and b = t.data.(t.len - 2) in
-        t.len <- t.len - 2;
-        (a, b)
-      | Heaviest_pair ->
-        let a = t.data.(0) and b = t.data.(1) in
-        Array.blit t.data 2 t.data 0 (t.len - 2);
-        t.len <- t.len - 2;
-        (a, b)
-      | First_last ->
-        let a = t.data.(t.len - 1) and z = t.data.(0) in
-        Array.blit t.data 1 t.data 0 (t.len - 2);
-        t.len <- t.len - 2;
-        (a, z)
-    in
-    index_remove t a;
-    index_remove t b;
+  let d = t.data and n = t.len in
+  t.len <- n - 2;
+  match policy with
+  | Lightest_pair ->
+    (* Last two slots; no shifting. *)
+    (d.(n - 1), d.(n - 2))
+  | Heaviest_pair ->
+    let a = d.(0) and b = d.(1) in
+    Array.blit d 2 d 0 (n - 2);
     (a, b)
+  | First_last ->
+    let a = d.(n - 1) and z = d.(0) in
+    Array.blit d 1 d 0 (n - 2);
+    (a, z)
 
 let to_list t =
-  match t.repr with
-  | List_repr -> t.items
-  | Array_repr ->
-    let acc = ref [] in
-    for i = 0 to t.len - 1 do acc := t.data.(i) :: !acc done;
-    !acc
+  let acc = ref [] in
+  for i = 0 to t.len - 1 do acc := t.data.(i) :: !acc done;
+  !acc
 
-let to_array t =
-  match t.repr with
-  | List_repr -> Array.of_list t.items
-  | Array_repr -> Array.init t.len (fun i -> t.data.(t.len - 1 - i))
-
-let index_add t h =
-  let k = key h in
-  Hashtbl.replace t.index k
-    (h :: Option.value ~default:[] (Hashtbl.find_opt t.index k))
-
-let of_list ~bound l =
-  let t = create ~bound in
-  match t.repr with
-  | List_repr ->
-    t.items <- List.sort canonical l;
-    t.len <- List.length l;
-    t
-  | Array_repr ->
-    (* A min-heap under the reversed order drains heaviest-first, which
-       is exactly the internal layout. *)
-    let heap = Rt_util.Binary_heap.of_list ~cmp:(fun a b -> canonical b a) l in
-    let n = Rt_util.Binary_heap.length heap in
-    if n > 0 then begin
-      t.data <- Array.make (max n (bound + 1)) (List.hd l);
-      for i = 0 to n - 1 do
-        let h = Rt_util.Binary_heap.pop_exn heap in
-        t.data.(i) <- h;
-        index_add t h
-      done;
-      t.len <- n
-    end;
-    t
+let to_array t = Array.init t.len (fun i -> t.data.(t.len - 1 - i))

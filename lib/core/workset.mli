@@ -1,33 +1,19 @@
 (** The heuristic's bounded working set (paper §3.2), imperative and
     array-backed.
 
-    The seed implementation kept the set as a sorted immutable list:
-    O(b) full-order comparisons per membership test, an O(b) length scan
-    per insertion and O(b) consing per eviction. This version keeps
+    One dynamic array sorted {e descending} by the canonical total order
+    (weight of Definition 8 first, then [Hypothesis.compare_full]):
 
-    - a dynamic array sorted {e descending} by the canonical total order
-      (weight of Definition 8 first, then [Hypothesis.compare_full]), so
-      the hot eviction — the paper's lightest pair — pops the last two
-      slots in O(1), and insertion is an O(log b) binary search plus one
-      [Array.blit];
-    - a [Hashtbl] deduplication index keyed on the pair of cached
-      structural hashes [(hash, a_hash)], falling back to
-      [Hypothesis.compare_full] only on a bucket collision, making
-      membership O(1) integer work in the common case;
-    - a tracked length (no [List.length] scans).
+    - the hot eviction — the paper's lightest pair — pops the last two
+      slots in O(1);
+    - insertion is one O(log b) binary search plus a shift of the
+      lighter tail. The order returns 0 only on true duplicates, so the
+      same search is the deduplication test: an equality hit means the
+      hypothesis is already present;
+    - the length is tracked (no [List.length] scans).
 
-    Contents are a function of the {e set} of inserted hypotheses only —
-    the sorted order is canonical, never insertion order — which is what
-    keeps parallel fan-out deterministic (see DESIGN.md §9).
-
-    The array machinery only pays for itself once the set is large:
-    below {!crossover_bound} (the break-even measured in
-    BENCH_heuristic.json) {!create} silently selects the seed's sorted
-    singly-linked-list layout instead — same canonical order, same
-    dedup decisions, same eviction victims, observably identical, just
-    without the hash index and blits that dominate at small bounds.
-    {!create_with} forces a representation, for tests and A/B
-    benchmarks. *)
+    Contents are a function of the {e set} of inserted hypotheses only:
+    the sorted order is canonical, never insertion order. *)
 
 type t
 
@@ -43,33 +29,23 @@ type victim_policy =
   | Heaviest_pair  (** ablation: merge the two highest-weight *)
   | First_last     (** ablation: merge the lightest with the heaviest *)
 
-val crossover_bound : int
-(** The measured array-vs-list break-even bound (see
-    BENCH_heuristic.json); {!create} uses the list representation
-    strictly below it. *)
-
 val create : bound:int -> t
 (** Empty set; [bound] sizes the backing array ([bound + 1] slots: the
-    set only ever overflows by the one hypothesis being inserted).
-    Selects the representation from [bound] (see {!crossover_bound}). *)
-
-val create_with : repr:[ `Array | `List ] -> bound:int -> t
-(** {!create} with the representation forced. *)
-
-val uses_list_repr : t -> bool
-(** Which representation a set ended up with (for tests). *)
+    set only ever overflows by the one hypothesis being inserted). The
+    array still grows if a caller adds more. *)
 
 val length : t -> int
 
 val clear : t -> unit
-(** Empty the set, keeping the allocations for reuse. *)
+(** Empty the set, keeping the allocation for reuse. *)
 
 val mem : t -> Hypothesis.t -> bool
+(** One binary search under {!canonical}. *)
 
 val add : t -> Hypothesis.t -> bool
 (** [add t h] inserts [h] unless an equal hypothesis is already present;
-    [true] iff the set grew. Membership test and index update share a
-    single bucket lookup — this is the learner's per-child hot path. *)
+    [true] iff the set grew. One binary search gives both answers — this
+    is the learner's per-child hot path. *)
 
 val insert : t -> Hypothesis.t -> unit
 (** {!add}, but inserting a duplicate is a programming error and raises
@@ -87,7 +63,3 @@ val to_list : t -> Hypothesis.t list
 
 val to_array : t -> Hypothesis.t array
 (** Ascending canonical order, freshly allocated. *)
-
-val of_list : bound:int -> Hypothesis.t list -> t
-(** Build a set from distinct hypotheses in any order (sorted via
-    {!Rt_util.Binary_heap}); grows beyond [bound + 1] if needed. *)

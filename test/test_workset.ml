@@ -1,5 +1,6 @@
-(* The PR-1 rewrite contract: the array-backed {!Rt_learn.Workset} and
-   the learner on top of it must be observably indistinguishable from the
+(* The working-set contract: the array-backed {!Rt_learn.Workset} must
+   behave op for op like a plain list sorted by [canonical], and the
+   learner on top of it must be observably indistinguishable from the
    seed's sorted-list implementation (kept verbatim as
    {!Rt_learn.Reference}) — same dedup decisions, same eviction victims,
    same merge counts, same final D* — for every merge policy and bound.
@@ -60,7 +61,7 @@ let test_extract_lightest () =
   Alcotest.(check hyp) "lightest first" h1 a;
   Alcotest.(check hyp) "second lightest" h2 b;
   Alcotest.(check (list hyp)) "rest" [ h3 ] (W.to_list t);
-  Alcotest.(check bool) "victims dropped from index" false (W.mem t h1)
+  Alcotest.(check bool) "victims no longer members" false (W.mem t h1)
 
 let test_extract_heaviest () =
   let t = filled () in
@@ -87,14 +88,9 @@ let test_clear_reuse () =
   let t = filled () in
   W.clear t;
   Alcotest.(check int) "emptied" 0 (W.length t);
-  Alcotest.(check bool) "index emptied" false (W.mem t h1);
+  Alcotest.(check bool) "cleared set has no members" false (W.mem t h1);
   W.insert t h3;
   Alcotest.(check (list hyp)) "reusable" [ h3 ] (W.to_list t)
-
-let test_of_list () =
-  let t = W.of_list ~bound:4 [ h3; h1; h2 ] in
-  Alcotest.(check (list hyp)) "canonically sorted" [ h1; h2; h3 ] (W.to_list t);
-  Alcotest.(check bool) "indexed" true (W.mem t h2)
 
 (* Inserting any bag of generated hypotheses leaves exactly the
    first-occurrence representatives, in canonical order. *)
@@ -107,46 +103,104 @@ let qc_canonical_order =
        let kept = List.filter (W.add t) hs in
        W.to_list t = List.sort W.canonical kept)
 
-(* --- representation auto-selection (the measured crossover) --- *)
+(* --- the one representation against a sorted-list model --- *)
 
-let test_crossover_selection () =
-  Alcotest.(check bool) "crossover bound is positive" true
-    (W.crossover_bound > 1);
-  Alcotest.(check bool) "small bound -> seed list" true
-    (W.uses_list_repr (W.create ~bound:1));
-  Alcotest.(check bool) "just below crossover -> seed list" true
-    (W.uses_list_repr (W.create ~bound:(W.crossover_bound - 1)));
-  Alcotest.(check bool) "at crossover -> array" false
-    (W.uses_list_repr (W.create ~bound:W.crossover_bound));
-  Alcotest.(check bool) "large bound -> array" false
-    (W.uses_list_repr (W.create ~bound:150));
-  Alcotest.(check bool) "forced list stays list" true
-    (W.uses_list_repr (W.create_with ~repr:`List ~bound:150));
-  Alcotest.(check bool) "forced array stays array" false
-    (W.uses_list_repr (W.create_with ~repr:`Array ~bound:1))
+type op =
+  | Add of (int * int) list * (int * int) list option
+      (* the fixture of the first pair list, joined with the second's *)
+  | Extract
+  | Clear
 
-(* Both representations, driven through the same insert/extract
-   sequence, must agree on every observation — the auto-selection can
-   never change results, only constants. *)
-let qc_repr_equivalence =
-  Test_support.qcheck_case "list repr = array repr, op for op" ~count:100
-    QCheck.(
-      pair
-        (small_list (small_list (pair (int_range 0 4) (int_range 0 4))))
-        (int_range 0 2))
-    (fun (pairlists, pol_ix) ->
-       let policy =
-         [| W.Lightest_pair; W.Heaviest_pair; W.First_last |].(pol_ix)
-       in
-       let drive repr =
-         let t = W.create_with ~repr ~bound:1000 in
-         let kept = List.map (fun h -> W.add t h) (List.map (mk 5) pairlists) in
-         let extracted =
-           if W.length t >= 2 then Some (W.extract_pair t policy) else None
+let policy_name = function
+  | W.Lightest_pair -> "lightest" | W.Heaviest_pair -> "heaviest"
+  | W.First_last -> "first-last"
+
+let print_op =
+  let pairs = QCheck.Print.(list (pair int int)) in
+  function
+  | Add (p, q) -> "add " ^ pairs p ^ QCheck.Print.option pairs q
+  | Extract -> "extract"
+  | Clear -> "clear"
+
+let arb_ops =
+  let open QCheck.Gen in
+  let pairs = small_list (pair (int_range 0 4) (int_range 0 4)) in
+  let op =
+    frequency
+      [ (6, map2 (fun p q -> Add (p, q)) pairs (opt pairs));
+        (2, return Extract);
+        (1, return Clear) ]
+  in
+  QCheck.make
+    ~print:(fun (pol, bound, ops) ->
+        Printf.sprintf "%s, bound %d: %s" (policy_name pol) bound
+          (String.concat "; " (List.map print_op ops)))
+    (triple
+       (oneofl [ W.Lightest_pair; W.Heaviest_pair; W.First_last ])
+       (oneofl [ 1; 2; 1000 ])
+       (list_size (int_range 0 60) op))
+
+(* The model: a list sorted ascending by [canonical]; victims are taken
+   from its ends as the policy says. *)
+let model_extract policy l =
+  let n = List.length l in
+  let nth = List.nth l in
+  let keep lo hi = List.filteri (fun i _ -> i >= lo && i < hi) l in
+  match policy with
+  | W.Lightest_pair -> ((nth 0, nth 1), keep 2 n)
+  | W.Heaviest_pair -> ((nth (n - 1), nth (n - 2)), keep 0 (n - 2))
+  | W.First_last -> ((nth 0, nth (n - 1)), keep 1 (n - 1))
+
+(* Every [add] result, both victims, [to_list], [to_array], [length] and
+   [mem] agree with the model after every op. At bounds 1 and 2 the set
+   outgrows its first allocation, which exercises the growth path. The
+   stored hypotheses must be the first-added representatives, so lists
+   are compared physically. *)
+let qc_model =
+  Test_support.qcheck_case "ops match a sorted-list model" ~count:300 arb_ops
+    (fun (policy, bound, ops) ->
+       let t = W.create ~bound in
+       let same = List.equal ( == ) in
+       let step model op =
+         let model, ok =
+           match op with
+           | Add (p, q) ->
+             let h = mk 5 p in
+             let h =
+               match q with Some q -> Hy.merge_lub h (mk 5 q) | None -> h
+             in
+             let fresh =
+               not (List.exists (fun h' -> W.canonical h h' = 0) model)
+             in
+             let model =
+               if fresh then List.sort W.canonical (h :: model) else model
+             in
+             (model, W.add t h = fresh && W.mem t h)
+           | Extract when List.length model < 2 ->
+             (model,
+              match W.extract_pair t policy with
+              | _ -> false
+              | exception Invalid_argument _ -> true)
+           | Extract ->
+             let (ma, mb), rest = model_extract policy model in
+             let a, b = W.extract_pair t policy in
+             (rest, a == ma && b == mb && not (W.mem t a || W.mem t b))
+           | Clear -> W.clear t; ([], true)
          in
-         (kept, extracted, W.to_list t, W.length t)
+         ( model,
+           ok
+           && W.length t = List.length model
+           && same (W.to_list t) model
+           && same (Array.to_list (W.to_array t)) model
+           && List.for_all (W.mem t) model )
        in
-       drive `List = drive `Array)
+       let rec go model = function
+         | [] -> true
+         | op :: ops ->
+           let model, ok = step model op in
+           ok && go model ops
+       in
+       go [] ops)
 
 (* --- the headline property: learner equivalence with the seed --- *)
 
@@ -160,7 +214,9 @@ let same_outcome (a : H.outcome) (b : H.outcome) =
 let qc_equivalence =
   Test_support.qcheck_case
     "heuristic(workset) = reference(seed list): D*, victims, stats" ~count:60
-    QCheck.(triple (int_range 0 11) (int_range 0 2) (int_range 1 24))
+    QCheck.(
+      triple (int_range 0 11) (int_range 0 2)
+        (frequency [ (3, int_range 1 24); (1, oneofl [ 63; 64; 150 ]) ]))
     (fun (seed, pol_ix, bound) ->
        let trace =
          Test_support.simulate ~periods:6 ~seed (Test_support.small_design seed)
@@ -181,7 +237,7 @@ let test_equivalence_all_policies () =
             (same_outcome
                (H.run ~policy ~bound trace)
                (R.run ~policy ~bound trace)))
-        [ 1; 2; 3; 8; 64 ])
+        [ 1; 2; 3; 8; 64; 150 ])
     policies
 
 let () =
@@ -196,15 +252,9 @@ let () =
           Alcotest.test_case "extract first+last" `Quick test_extract_first_last;
           Alcotest.test_case "extract underflow" `Quick test_extract_underflow;
           Alcotest.test_case "clear and reuse" `Quick test_clear_reuse;
-          Alcotest.test_case "of_list" `Quick test_of_list;
           qc_canonical_order;
         ] );
-      ( "representation",
-        [
-          Alcotest.test_case "crossover auto-selection" `Quick
-            test_crossover_selection;
-          qc_repr_equivalence;
-        ] );
+      ("representation", [ qc_model ]);
       ( "equivalence",
         [
           qc_equivalence;
